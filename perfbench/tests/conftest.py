@@ -1,0 +1,11 @@
+"""Make the benchmark modules and the lexcent sources importable.
+
+Run from the repository root:  python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
