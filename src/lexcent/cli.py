@@ -23,7 +23,6 @@ from .evaluation import (
     EVAL_MEASURES,
     benchmark_runtime,
     evaluate_dataset,
-    lsc_rank_values,
     rank_vs_score_series,
 )
 from .graph import Graph, dataset_stats, generate_barabasi_albert, load_edge_list
@@ -118,6 +117,10 @@ class RunConfig:
             raise ValueError("tau variant must be 'a' or 'b'")
         if self.cc_convention not in ("component_scaled", "paper_literal"):
             raise ValueError(f"unknown closeness convention {self.cc_convention!r}")
+        if not self.ec_tol > 0:
+            raise ValueError("ec-tol must be > 0")
+        if self.ec_max_iter < 1:
+            raise ValueError("ec-max-iter must be >= 1")
         if self.gc_radius < 1:
             raise ValueError("gc-radius must be >= 1")
         if self.threads < 1:
@@ -221,25 +224,29 @@ def cmd_centrality(config: RunConfig) -> None:
     g = _load_graph(config)
     out = _outdir(config)
     _write_labels(g, out)
+    tags = [m.upper() for m in config.measures if m != "lsc"]
+    if "lsc" in config.measures:
+        tags += config.measure_order
+    vectors = {
+        tag: compute_centrality(g, tag, **config.measure_settings())
+        for tag in dict.fromkeys(tags)
+    }
     for measure in config.measures:
         if measure == "lsc":
-            vectors = [
-                compute_centrality(g, tag, **config.measure_settings())
-                for tag in config.measure_order
-            ]
-            rm = build_ranking_matrix(vectors, config.precision, config.rounding)
+            rm = build_ranking_matrix(
+                [vectors[tag] for tag in config.measure_order],
+                config.precision,
+                config.rounding,
+            )
             ranking = lexical_sort(rm)
             _write(out / "ranking_lsc.csv", lambda s: write_ranking_csv(ranking, s))
             (out / "ranking_lsc.json").write_text(ranking_to_json(ranking) + "\n")
             _write(out / "ranking_matrix.csv", lambda s: write_ranking_matrix_csv(rm, s))
-        elif measure in VALUE_MEASURES:
-            vec = compute_centrality(g, measure, **config.measure_settings())
+        else:
             _write(
                 out / f"centrality_{measure}.csv",
-                lambda s, v=vec: write_centrality_csv([v], s),
+                lambda s, v=vectors[measure.upper()]: write_centrality_csv([v], s),
             )
-        else:
-            raise ValueError(f"unknown measure {measure!r}")
     print(f"wrote centrality outputs for {_dataset_tag(config)} to {out}")
 
 
@@ -307,17 +314,7 @@ def cmd_evaluate(config: RunConfig) -> None:
     _write(out / "sir_scores.csv", lambda s: write_scores_csv(results, s))
     inversions: dict[str, int] = {}
     for tag in EVAL_MEASURES:
-        if tag == "LSC":
-            ranking = lsc(
-                g,
-                precision=config.precision,
-                measure_order=config.measure_order,
-                rounding=config.rounding,
-                **config.measure_settings(),
-            )
-        else:
-            vec = compute_centrality(g, tag, **config.measure_settings())
-            ranking = ranking_from_scores(vec.scores, tag)
+        ranking = report.rankings[tag]
         series, count = rank_vs_score_series(ranking, truth)
         inversions[tag] = count
 

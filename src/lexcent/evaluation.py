@@ -8,14 +8,24 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import IO, Sequence
 
 import numpy as np
 
-from .centrality import compute_centrality
+from .centrality import MEASURES, compute_centrality
 from .graph import Graph
-from .ranking import NodeRanking, lsc, ranking_from_scores
+from .ranking import (
+    DEFAULT_MEASURE_ORDER,
+    DEFAULT_PRECISION,
+    ROUND_HALF_EVEN_MODE,
+    NodeRanking,
+    build_ranking_matrix,
+    lexical_sort,
+    lsc,
+    ranking_from_scores,
+)
 from .sir import SirParams, mean_scores, score_all_nodes
 
 EVAL_MEASURES = ("DC", "EC", "CC", "BC", "GC", "LSC")
@@ -178,36 +188,14 @@ class BenchmarkResult:
     metadata: dict
 
 
-def _measure_callable(tag: str, settings: dict) -> Callable[[Graph], object]:
-    tag = tag.upper()
-    if tag == "LSC":
-        return lambda g: lsc(
-            g,
-            precision=settings.get("precision", 5),
-            measure_order=settings.get("measure_order", ("DC", "EC", "CC")),
-            rounding=settings.get("rounding", "half_even"),
-            cc_convention=settings.get("cc_convention", "component_scaled"),
-            ec_tol=settings.get("ec_tol", 1e-8),
-            ec_max_iter=settings.get("ec_max_iter", 1000),
-            gc_radius=settings.get("gc_radius", 3),
-            gc_exponent=settings.get("gc_exponent", 2),
-        )
-    return lambda g: compute_centrality(
-        g,
-        tag,
-        cc_convention=settings.get("cc_convention", "component_scaled"),
-        ec_tol=settings.get("ec_tol", 1e-8),
-        ec_max_iter=settings.get("ec_max_iter", 1000),
-        gc_radius=settings.get("gc_radius", 3),
-        gc_exponent=settings.get("gc_exponent", 2),
-    )
-
-
 def benchmark_runtime(
     g: Graph,
     measures: Sequence[str],
     repetitions: int = 1,
-    **settings,
+    precision: int = DEFAULT_PRECISION,
+    measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
+    rounding: str = ROUND_HALF_EVEN_MODE,
+    **measure_settings,
 ) -> BenchmarkResult:
     """Mean wall-clock seconds per measure over ``repetitions`` runs.
 
@@ -218,15 +206,18 @@ def benchmark_runtime(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     runs: dict[str, list[float]] = {}
-    for tag in measures:
-        fn = _measure_callable(tag, settings)
-        fn(g)  # cold-cache warmup, discarded
+    for tag in (t.upper() for t in measures):
+        if tag == "LSC":
+            fn = partial(lsc, g, precision, measure_order, rounding, **measure_settings)
+        else:
+            fn = partial(compute_centrality, g, tag, **measure_settings)
+        fn()  # cold-cache warmup, discarded
         timings = []
         for _ in range(repetitions):
             start = time.perf_counter()
-            fn(g)
+            fn()
             timings.append(time.perf_counter() - start)
-        runs[tag.upper()] = timings
+        runs[tag] = timings
     means = {tag: sum(ts) / len(ts) for tag, ts in runs.items()}
     metadata = {
         "python": platform.python_version(),
@@ -252,6 +243,8 @@ class EvalReport:
     measures: dict[str, dict]
     tau_variant: str = "a"
     runtime_seconds: dict[str, float] | None = None
+    # per-measure rankings the rows were scored from; not serialized
+    rankings: dict[str, NodeRanking] = field(default_factory=dict, repr=False)
 
     def to_json(self) -> str:
         payload = {
@@ -297,43 +290,37 @@ def evaluate_dataset(
     dataset: str = "",
     tau_variant: str = "a",
     threads: int = 1,
-    precision: int = 5,
-    measure_order: Sequence[str] = ("DC", "EC", "CC"),
-    rounding: str = "half_even",
+    precision: int = DEFAULT_PRECISION,
+    measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
+    rounding: str = ROUND_HALF_EVEN_MODE,
     sir_results: Sequence | None = None,
     **measure_settings,
 ) -> EvalReport:
     """Full ranking-evaluation pipeline for one graph.
 
-    Computes the five competitor centralities plus LSC, Monte-Carlo SIR
-    spreading scores for every node, and per measure: Kendall tau between the
-    measure's values and the SIR scores (LSC contributes negated rank
-    positions), and the top-x% overlap against the SIR top-k. Precomputed
-    ``sir_results`` (from score_all_nodes with the same params) are reused
-    when given.
+    Computes the five competitor centralities once each, builds LSC from the
+    vectors in ``measure_order``, computes Monte-Carlo SIR spreading scores
+    for every node, and per measure: Kendall tau between the measure's values
+    and the SIR scores (LSC contributes negated rank positions), and the
+    top-x% overlap against the SIR top-k. Precomputed ``sir_results`` (from
+    score_all_nodes with the same params) are reused when given. The six
+    rankings are returned on the report's ``rankings``.
     """
     if sir_results is None:
         sir_results = score_all_nodes(g, params, threads=threads)
     ground_truth = mean_scores(sir_results)
-    report_rows: dict[str, dict] = {}
-    for tag in ("DC", "EC", "CC", "BC", "GC"):
-        vec = compute_centrality(g, tag, **measure_settings)
-        tau = kendall_tau(vec.scores.tolist(), ground_truth.tolist(), tau_variant)
-        overlap, k = top_x_overlap(
-            ranking_from_scores(vec.scores, tag), ground_truth, x_percent
-        )
-        report_rows[tag] = {"tau": tau, "top_x_overlap": overlap, "top_x_k": k}
-    lsc_ranking = lsc(
-        g,
-        precision=precision,
-        measure_order=measure_order,
-        rounding=rounding,
-        **measure_settings,
+    vectors = {tag: compute_centrality(g, tag, **measure_settings) for tag in MEASURES}
+    rankings = {tag: ranking_from_scores(vec.scores, tag) for tag, vec in vectors.items()}
+    rm = build_ranking_matrix(
+        [vectors[tag.upper()] for tag in measure_order], precision, rounding
     )
-    lsc_values = lsc_rank_values(lsc_ranking)
-    tau = kendall_tau(lsc_values.tolist(), ground_truth.tolist(), tau_variant)
-    overlap, k = top_x_overlap(lsc_ranking, ground_truth, x_percent)
-    report_rows["LSC"] = {"tau": tau, "top_x_overlap": overlap, "top_x_k": k}
+    rankings["LSC"] = lexical_sort(rm)
+    report_rows: dict[str, dict] = {}
+    for tag, ranking in rankings.items():
+        values = lsc_rank_values(ranking) if tag == "LSC" else vectors[tag].scores
+        tau = kendall_tau(values.tolist(), ground_truth.tolist(), tau_variant)
+        overlap, k = top_x_overlap(ranking, ground_truth, x_percent)
+        report_rows[tag] = {"tau": tau, "top_x_overlap": overlap, "top_x_k": k}
     return EvalReport(
         dataset=dataset,
         beta=params.beta,
@@ -344,4 +331,5 @@ def evaluate_dataset(
         node_count=g.node_count,
         measures=report_rows,
         tau_variant=tau_variant,
+        rankings=rankings,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import lexcent.centrality
 from lexcent.cli import main
 
 
@@ -269,7 +270,14 @@ def test_relabel_writes_label_map(tmp_path):
     assert (out / "node_labels.csv").read_text() == "node,label\n0,10\n1,20\n2,30\n"
 
 
-def test_bad_precision_fails_before_any_work(small_graph_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--precision", "20"), ("--ec-tol", "0"), ("--ec-max-iter", "0")],
+    ids=["precision", "ec-tol", "ec-max-iter"],
+)
+def test_bad_precision_fails_before_any_work(
+    small_graph_file, tmp_path, capsys, flag, value
+):
     code = run(
         [
             "centrality",
@@ -277,14 +285,14 @@ def test_bad_precision_fails_before_any_work(small_graph_file, tmp_path, capsys)
             str(small_graph_file),
             "--measures",
             "lsc",
-            "--precision",
-            "20",
+            flag,
+            value,
             "--out",
             str(tmp_path / "o"),
         ]
     )
     assert code == 2
-    assert "precision" in capsys.readouterr().err
+    assert flag.lstrip("-") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # rejected before outputs were touched
 
 
@@ -345,3 +353,30 @@ def test_dataset_default_beta_applies(tmp_path):
     config = json.loads((out / "run_config.json").read_text())
     assert config["beta"] is None  # default resolved at params time, from registry
     assert (out / "sir_scores.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--beta", "0.2", "--reps", "20", "--x-percent", "20"],
+        ["centrality", "--measures", "dc,ec,cc,bc,gc,lsc"],
+    ],
+    ids=["evaluate", "centrality"],
+)
+def test_each_measure_computed_once_per_command(
+    small_graph_file, tmp_path, monkeypatch, argv
+):
+    names = ("degree", "eigenvector", "closeness", "betweenness", "gravity")
+    calls = {}
+    for name in names:
+        attr = f"{name}_centrality"
+        original = getattr(lexcent.centrality, attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lexcent.centrality, attr, counted)
+    argv = [*argv, "--graph", str(small_graph_file), "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    assert calls == dict.fromkeys(names, 1)
