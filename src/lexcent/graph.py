@@ -236,6 +236,11 @@ def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:
     return from_edges(n, edges)
 
 
+# frontiers up to this size are expanded by slicing each CSR row; larger ones
+# by one vectorised gather
+_SLICED_FRONTIER = 8
+
+
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Exact unweighted shortest-path distances from source (int32 array);
     unreachable nodes are marked UNREACHABLE (-1).
@@ -248,14 +253,28 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     frontier = np.array([source], dtype=np.int32)
     d = 0
     while frontier.size:
-        segments = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-        nbrs = segments[0] if len(segments) == 1 else np.concatenate(segments)
+        if frontier.size <= _SLICED_FRONTIER:
+            segments = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
+            nbrs = segments[0] if len(segments) == 1 else np.concatenate(segments)
+        else:
+            # gather every frontier row in one indexing step: position k of
+            # the output lies in row v at indptr[v] + (k - row offset of v)
+            starts = indptr[frontier]
+            lens = indptr[frontier + 1] - starts
+            row_offsets = np.cumsum(lens) - lens
+            nbrs = indices[np.arange(lens.sum()) + np.repeat(starts - row_offsets, lens)]
         nbrs = nbrs[dist[nbrs] == UNREACHABLE]
         if nbrs.size == 0:
             break
-        frontier = np.unique(nbrs)
         d += 1
-        dist[frontier] = d
+        if nbrs.size * 8 < dist.size:
+            frontier = np.unique(nbrs)
+            dist[frontier] = d
+        else:
+            # a large level: mark it in place and read it back in node order,
+            # O(n) instead of sorting the duplicated neighbour list
+            dist[nbrs] = d
+            frontier = np.flatnonzero(dist == d)
     return dist
 
 
