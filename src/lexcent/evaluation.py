@@ -306,6 +306,9 @@ def evaluate_dataset(
     score_all_nodes with the same params) are reused when given. The six
     rankings are returned on the report's ``rankings``.
     """
+    unknown = [tag for tag in measure_order if tag.upper() not in MEASURES]
+    if unknown:
+        raise ValueError(f"unknown measure {unknown[0]!r}")
     if sir_results is None:
         sir_results = score_all_nodes(g, params, threads=threads)
     ground_truth = mean_scores(sir_results)

@@ -236,9 +236,14 @@ def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:
     return from_edges(n, edges)
 
 
-# frontiers up to this size are expanded by slicing each CSR row; larger ones
-# by one vectorised gather
-_SLICED_FRONTIER = 8
+def _frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
+    """The CSR rows of every frontier node, concatenated in frontier order,
+    gathered in one indexing step: entry k lies in the row of node v at
+    indptr[v] + (k - offset of v's row in the output).
+    """
+    starts = g.indptr[frontier]
+    lens = g.indptr[frontier + 1] - starts
+    return g.indices[np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)]
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
@@ -247,34 +252,18 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """
     if not 0 <= source < g.node_count:
         raise ValueError(f"source {source} out of range for n={g.node_count}")
-    indptr, indices = g.indptr, g.indices
     dist = np.full(g.node_count, UNREACHABLE, dtype=np.int32)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int32)
     d = 0
     while frontier.size:
-        if frontier.size <= _SLICED_FRONTIER:
-            segments = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-            nbrs = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        else:
-            # gather every frontier row in one indexing step: position k of
-            # the output lies in row v at indptr[v] + (k - row offset of v)
-            starts = indptr[frontier]
-            lens = indptr[frontier + 1] - starts
-            row_offsets = np.cumsum(lens) - lens
-            nbrs = indices[np.arange(lens.sum()) + np.repeat(starts - row_offsets, lens)]
+        nbrs = _frontier_neighbors(g, frontier)
         nbrs = nbrs[dist[nbrs] == UNREACHABLE]
         if nbrs.size == 0:
             break
+        frontier = np.unique(nbrs)
         d += 1
-        if nbrs.size * 8 < dist.size:
-            frontier = np.unique(nbrs)
-            dist[frontier] = d
-        else:
-            # a large level: mark it in place and read it back in node order,
-            # O(n) instead of sorting the duplicated neighbour list
-            dist[nbrs] = d
-            frontier = np.flatnonzero(dist == d)
+        dist[frontier] = d
     return dist
 
 
@@ -316,7 +305,6 @@ def connected_components(g: Graph) -> tuple[np.ndarray, list[int]]:
     n = g.node_count
     labels = np.full(n, -1, dtype=np.int64)
     sizes: list[int] = []
-    indptr, indices = g.indptr, g.indices
     for start in range(n):
         if labels[start] != -1:
             continue
@@ -325,8 +313,7 @@ def connected_components(g: Graph) -> tuple[np.ndarray, list[int]]:
         frontier = np.array([start], dtype=np.int32)
         count = 1
         while frontier.size:
-            segments = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-            nbrs = segments[0] if len(segments) == 1 else np.concatenate(segments)
+            nbrs = _frontier_neighbors(g, frontier)
             nbrs = nbrs[labels[nbrs] == -1]
             if nbrs.size == 0:
                 break

@@ -14,6 +14,7 @@ from lexcent.evaluation import (
     rank_vs_score_series,
     top_x_overlap,
 )
+from lexcent.graph import from_edges
 from lexcent.ranking import NodeRanking, ranking_from_scores
 from lexcent.sir import SirParams
 
@@ -218,6 +219,20 @@ def test_evaluate_is_deterministic_and_thread_invariant():
     a = evaluate_dataset(g, params, x_percent=20, dataset="g", threads=1)
     b = evaluate_dataset(g, params, x_percent=20, dataset="g", threads=4)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize(
+    "graph, order, message",
+    [
+        (star_graph(3), ("DC", "XC"), "unknown measure 'XC'"),
+        (from_edges(1, []), ("DC", "EC", "CC"), "at least 2 nodes"),
+    ],
+    ids=["unknown-measure", "one-node"],
+)
+def test_evaluate_rejects_bad_input(graph, order, message):
+    params = SirParams(beta=0.2, gamma=1.0, replications=10, rng_seed=1)
+    with pytest.raises(ValueError, match=message):
+        evaluate_dataset(graph, params, measure_order=order)
 
 
 def test_report_serialization_shape():

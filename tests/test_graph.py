@@ -1,5 +1,6 @@
 import io
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -175,6 +176,33 @@ def test_bfs_triangle_property_on_random_graphs():
             for u, v in g.edges():
                 if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE:
                     assert abs(int(dist[u]) - int(dist[v])) <= 1
+
+
+def queue_bfs(g, source):
+    """Textbook FIFO-queue BFS, one neighbour at a time."""
+    dist = [UNREACHABLE] * g.node_count
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u).tolist():
+            if dist[w] == UNREACHABLE:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def test_bfs_matches_queue_bfs_from_every_source():
+    # wide frontiers (hubs of BA, dense random) and a disconnected sparse graph
+    rng = random.Random(5)
+    graphs = [
+        generate_barabasi_albert(300, 3, 5),
+        random_graph(60, 0.2, rng),
+        random_graph(80, 0.02, rng),
+    ]
+    for g in graphs:
+        for s in range(g.node_count):
+            assert bfs_distances(g, s).tolist() == queue_bfs(g, s)
 
 
 # ---------------------------------------------------------------------------
