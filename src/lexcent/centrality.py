@@ -9,12 +9,11 @@ are reproducible from the output alone.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, UNREACHABLE, bfs_distances, k_shell
+from .graph import Graph, UNREACHABLE, _frontier_neighbors, bfs_distances, k_shell
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
 
@@ -143,43 +142,67 @@ def closeness_centrality(
 
 
 def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
-    """Exact shortest-path betweenness (single-source dependency accumulation).
+    """Exact shortest-path betweenness by Brandes' dependency accumulation,
+    run level-synchronously from each source.
 
     Shortest-path multiplicities give fractional credit; endpoints are
     excluded. Each unordered pair is counted once. Normalization divides by
     (n-1)(n-2)/2.
+
+    The forward pass expands one BFS level at a time over the CSR gather of
+    the frontier's rows. A level lists its nodes by first appearance in that
+    gather, which is the order a FIFO queue visits them, and path counts
+    (sigma) sum over the DAG edges in gather order. The backward pass walks
+    the levels from the deepest and adds each dependency term in reverse
+    queue order of the child, so every score is the same double as the
+    queue-and-stack formulation gives. Work per level grows with the
+    level's adjacency entries, never with n.
     """
     n = g.node_count
     if normalized and n < 3:
         raise ValueError("normalized betweenness requires at least 3 nodes")
-    adj = [g.neighbors(v).tolist() for v in range(n)]
+    degrees = g.degrees()
+    dist = np.full(n, UNREACHABLE, dtype=np.int32)
+    # per reached node: the smallest gather index naming it, then its
+    # position within its level
+    slot = np.zeros(n, dtype=np.int64)
     bc = np.zeros(n)
     for s in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
         dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = np.zeros(n)
-        while stack:
-            w = stack.pop()
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
+        frontier = np.array([s], dtype=np.int64)
+        levels = [frontier]
+        sigmas = [np.ones(1)]
+        dag: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, child) positions
+        while True:
+            nbrs = _frontier_neighbors(g, frontier)
+            fresh = dist[nbrs] == UNREACHABLE
+            child = nbrs[fresh]
+            if child.size == 0:
+                break
+            parent = np.repeat(np.arange(frontier.size), degrees[frontier])[fresh]
+            entry = np.arange(child.size)
+            slot[child] = child.size
+            np.minimum.at(slot, child, entry)
+            frontier = child[slot[child] == entry]
+            slot[frontier] = np.arange(frontier.size)
+            child = slot[child]
+            dist[frontier] = len(levels)
+            sigmas.append(
+                np.bincount(child, weights=sigmas[-1][parent], minlength=frontier.size)
+            )
+            levels.append(frontier)
+            dag.append((parent, child))
+        delta = np.zeros(levels[-1].size)
+        for d in range(len(dag) - 1, -1, -1):
+            bc[levels[d + 1]] += delta
+            coeff = (1.0 + delta) / sigmas[d + 1]
+            parent, child = dag[d]
+            order = np.argsort(-child, kind="stable")
+            parent, child = parent[order], child[order]
+            delta = np.bincount(
+                parent, weights=sigmas[d][parent] * coeff[child], minlength=levels[d].size
+            )
+        dist[np.concatenate(levels)] = UNREACHABLE
     bc /= 2.0  # undirected: every pair was accumulated from both endpoints
     if normalized:
         bc /= (n - 1) * (n - 2) / 2.0

@@ -24,6 +24,7 @@ from .evaluation import (
     benchmark_runtime,
     evaluate_dataset,
     rank_vs_score_series,
+    top_x_size,
 )
 from .graph import Graph, dataset_stats, generate_barabasi_albert, load_edge_list
 from .ranking import (
@@ -290,6 +291,7 @@ def cmd_sir(config: RunConfig) -> None:
 
 def cmd_evaluate(config: RunConfig) -> None:
     g = _load_graph(config)
+    top_x_size(g.node_count, config.x_percent)
     params = _sir_params(config)
     out = _outdir(config)
     _write_labels(g, out)

@@ -137,24 +137,31 @@ def kendall_tau_pairwise(
     return _tau_from_counts(concordant, discordant, pairs, ties_a, ties_b, variant)
 
 
+def top_x_size(node_count: int, x_percent: float) -> int:
+    """k = floor(n * x_percent / 100), the size of a top-x% set; an error
+    unless it selects at least one node."""
+    if not 0 < x_percent <= 100:
+        raise ValueError("x_percent must be in (0, 100]")
+    k = int(node_count * x_percent / 100.0)
+    if k == 0:
+        raise ValueError(f"x_percent={x_percent} selects 0 of {node_count} nodes")
+    return k
+
+
 def top_x_overlap(
     ranking: NodeRanking, scores: Sequence[float], x_percent: float
 ) -> tuple[int, int]:
     """Overlap between the ranking's top k and the top k nodes by score,
-    where k = floor(n * x_percent / 100).
+    where k = top_x_size(n, x_percent).
 
     Score ties are broken by descending score then ascending node id.
     Returns (overlap, k).
     """
-    if not 0 < x_percent <= 100:
-        raise ValueError("x_percent must be in (0, 100]")
     arr = np.asarray(scores, dtype=np.float64)
     n = arr.size
     if n != len(ranking.ordered_nodes):
         raise ValueError("ranking and scores cover different node counts")
-    k = int(n * x_percent / 100.0)
-    if k == 0:
-        raise ValueError(f"x_percent={x_percent} selects 0 of {n} nodes")
+    k = top_x_size(n, x_percent)
     truth_order = np.lexsort((np.arange(n), -arr))
     truth = set(int(i) for i in truth_order[:k])
     top = set(ranking.ordered_nodes[:k])
@@ -309,10 +316,11 @@ def evaluate_dataset(
     unknown = [tag for tag in measure_order if tag.upper() not in MEASURES]
     if unknown:
         raise ValueError(f"unknown measure {unknown[0]!r}")
+    vectors = {tag: compute_centrality(g, tag, **measure_settings) for tag in MEASURES}
+    top_x_size(g.node_count, x_percent)  # reject an empty top-x set before any SIR work
     if sir_results is None:
         sir_results = score_all_nodes(g, params, threads=threads)
     ground_truth = mean_scores(sir_results)
-    vectors = {tag: compute_centrality(g, tag, **measure_settings) for tag in MEASURES}
     rankings = {tag: ranking_from_scores(vec.scores, tag) for tag, vec in vectors.items()}
     rm = build_ranking_matrix(
         [vectors[tag.upper()] for tag in measure_order], precision, rounding

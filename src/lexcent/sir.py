@@ -147,9 +147,15 @@ def spreading_score(
 ) -> SirResult:
     """Mean final spread size over ``params.replications`` independent runs
     with node ``seed`` as the sole initially infectious node."""
-    seed_arr = _check_seeds(g, [seed])
-    adj = g.adjacency_lists()
-    n = g.node_count
+    _check_seeds(g, [seed])
+    return _node_score(g.adjacency_lists(), g.node_count, seed, params, keep_replications)
+
+
+def _node_score(
+    adj: list[np.ndarray], n: int, seed: int, params: SirParams, keep_replications: bool
+) -> SirResult:
+    """spreading_score for a checked seed on prebuilt adjacency lists."""
+    seed_arr = np.array([seed], dtype=np.int32)
     finals = np.empty(params.replications, dtype=np.int64)
     for r in range(params.replications):
         rng = _stream(params.rng_seed, (seed, r))
@@ -198,11 +204,16 @@ def score_all_nodes(
     Each node's replications use their own derived streams, so the result is
     independent of evaluation order and of ``threads``.
     """
-    nodes = range(g.node_count)
+    adj = g.adjacency_lists()
+    n = g.node_count
+
+    def score(v: int) -> SirResult:
+        return _node_score(adj, n, v, params, False)
+
     if threads <= 1:
-        return [spreading_score(g, v, params) for v in nodes]
+        return [score(v) for v in range(n)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda v: spreading_score(g, v, params), nodes))
+        return list(pool.map(score, range(n)))
 
 
 def mean_scores(results: Sequence[SirResult]) -> np.ndarray:

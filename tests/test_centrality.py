@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcent.centrality import (
     CC_PAPER_LITERAL,
@@ -15,7 +17,7 @@ from lexcent.centrality import (
     eigenvector_centrality,
     gravity_centrality,
 )
-from lexcent.graph import bfs_distances, from_edges, k_shell
+from lexcent.graph import bfs_distances, from_edges, generate_barabasi_albert, k_shell
 
 from test_graph import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -257,6 +259,110 @@ def test_bc_matches_networkx_on_larger_graph():
     mine = betweenness_centrality(g).scores
     for v, value in expected.items():
         assert mine[v] == pytest.approx(value, abs=1e-10)
+
+
+def reference_betweenness(g, normalized):
+    """Brandes' queue-and-stack formulation, one source at a time: the oracle
+    the level-synchronous kernel must reproduce bit for bit."""
+    n = g.node_count
+    adj = [g.neighbors(v).tolist() for v in range(n)]
+    bc = np.zeros(n)
+    for s in range(n):
+        stack = []
+        preds = [[] for _ in range(n)]
+        sigma = np.zeros(n)
+        sigma[s] = 1.0
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(n)
+        while stack:
+            w = stack.pop()
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+    bc /= 2.0
+    if normalized:
+        bc /= (n - 1) * (n - 2) / 2.0
+    return bc
+
+
+def complete_bipartite_graph(a, b):
+    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def random_disconnected_graph(rng):
+    """Two random blocks with no edge between them, plus isolated nodes."""
+    sizes = [rng.randrange(2, 15), rng.randrange(2, 15)]
+    isolated = rng.randrange(1, 4)
+    edges, base = [], 0
+    for size in sizes:
+        p = rng.uniform(0.1, 0.7)
+        edges += [(base + i, base + j) for i in range(size)
+                  for j in range(i + 1, size) if rng.random() < p]
+        base += size
+    # shuffle ids so blocks and isolated nodes interleave
+    perm = list(range(base + isolated))
+    rng.shuffle(perm)
+    return from_edges(base + isolated, [(perm[u], perm[v]) for u, v in edges])
+
+
+def assert_bc_equals_reference(g):
+    for normalized in (True, False):
+        mine = betweenness_centrality(g, normalized=normalized).scores
+        assert np.array_equal(mine, reference_betweenness(g, normalized))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(3),
+        cycle_graph(6),
+        complete_bipartite_graph(3, 4),
+        star_graph(7),
+        complete_graph(6),
+        generate_barabasi_albert(300, 3, 5),
+    ],
+    ids=["n3", "C6", "K3,4", "star", "K6", "BA300"],
+)
+def test_bc_bitwise_equals_reference(g):
+    assert_bc_equals_reference(g)
+
+
+def test_bc_bitwise_equals_reference_on_disconnected_graphs():
+    rng = random.Random(29)
+    for _ in range(30):
+        assert_bc_equals_reference(random_disconnected_graph(rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                min_size=n,
+                max_size=3 * n,
+            ),
+        )
+    )
+)
+def test_bc_bitwise_equals_reference_on_random_edge_sets(case):
+    n, pairs = case
+    assert_bc_equals_reference(from_edges(n, pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 import lexcent.centrality
+import lexcent.cli
 from lexcent.cli import main
+from lexcent.datasets import dataset_path
 
 
 def run(argv):
@@ -380,3 +383,23 @@ def test_each_measure_computed_once_per_command(
     argv = [*argv, "--graph", str(small_graph_file), "--out", str(tmp_path / "o")]
     assert run(argv) == 0
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_karate_betweenness_csv_is_pinned(tmp_path):
+    out = tmp_path / "out"
+    karate = dataset_path("karate")
+    assert run(["centrality", "--graph", str(karate), "--measures", "bc", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "centrality_bc.csv").read_bytes()).hexdigest()
+    assert digest == "f9ead2abfd271e5bce23ab9f58d7c661281c1b6a2b46a3a2806c953191bf8ae0"
+
+
+def test_empty_top_x_fails_before_any_work(small_graph_file, tmp_path, capsys, monkeypatch):
+    def no_ground_truth(*args, **kwargs):
+        raise AssertionError("SIR ground truth started")
+
+    monkeypatch.setattr(lexcent.cli, "score_all_nodes", no_ground_truth)
+    out = tmp_path / "o"
+    argv = ["evaluate", "--graph", str(small_graph_file), "--beta", "0.2", "--out", str(out)]
+    assert run(argv) == 2
+    assert "x_percent=5.0 selects 0 of 5 nodes" in capsys.readouterr().err
+    assert not out.exists()  # rejected before outputs were touched

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import lexcent.evaluation
 from lexcent.evaluation import (
     benchmark_runtime,
     evaluate_dataset,
@@ -233,6 +234,16 @@ def test_evaluate_rejects_bad_input(graph, order, message):
     params = SirParams(beta=0.2, gamma=1.0, replications=10, rng_seed=1)
     with pytest.raises(ValueError, match=message):
         evaluate_dataset(graph, params, measure_order=order)
+
+
+def test_evaluate_rejects_empty_top_x_before_ground_truth(monkeypatch):
+    def no_ground_truth(*args, **kwargs):
+        raise AssertionError("SIR ground truth started")
+
+    monkeypatch.setattr(lexcent.evaluation, "score_all_nodes", no_ground_truth)
+    params = SirParams(beta=0.2, gamma=1.0, replications=10, rng_seed=1)
+    with pytest.raises(ValueError, match="x_percent=5.0 selects 0 of 4 nodes"):
+        evaluate_dataset(star_graph(3), params)
 
 
 def test_report_serialization_shape():
