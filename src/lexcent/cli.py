@@ -41,6 +41,7 @@ from .ranking import (
 )
 from .sir import (
     SirParams,
+    _is_int,
     mean_scores,
     score_all_nodes,
     spread_curve,
@@ -108,10 +109,14 @@ class RunConfig:
             raise ValueError("beta must be in [0, 1]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("steps must be >= 0")
+        if not _is_int(self.replications) or self.replications < 1:
+            raise ValueError("replications must be an integer >= 1")
+        if self.max_steps is not None and (not _is_int(self.max_steps) or self.max_steps < 0):
+            raise ValueError("steps must be an integer >= 0")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise ValueError("seed must be an integer >= 0")
+        if self.seeds is not None and not all(_is_int(s) for s in self.seeds):
+            raise ValueError("seeds must be integer node ids")
         if not 0.0 < self.x_percent <= 100.0:
             raise ValueError("x-percent must be in (0, 100]")
         if self.tau_variant not in ("a", "b"):
@@ -438,7 +443,11 @@ def _add_sir_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, help="per-step recovery probability")
     parser.add_argument("--reps", dest="replications", type=int, help="Monte-Carlo replications")
     parser.add_argument("--seed", dest="rng_seed", type=int, help="master RNG seed")
-    parser.add_argument("--threads", type=int, help="worker threads (results identical)")
+    parser.add_argument(
+        "--threads", type=int,
+        help="worker threads for per-node SIR runs at gamma < 1 or with --steps"
+        " (results identical)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -296,32 +296,50 @@ def k_shell(g: Graph) -> np.ndarray:
     return shell
 
 
+def _edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each undirected edge once as parallel (u, v) arrays with u < v, in
+    CSR order (ascending u, then ascending v)."""
+    src = np.repeat(np.arange(g.node_count, dtype=np.int32), np.diff(g.indptr))
+    upper = src < g.indices
+    return src[upper], g.indices[upper]
+
+
+def _min_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The smallest node id in each node's connected component, for nodes
+    0..n-1 joined by the edges (src[k], dst[k]).
+
+    Min-label hooking with pointer jumping: every label points at a node id no
+    larger than its own, each round hooks the root of every edge's larger
+    label onto the smaller one, then jumps pointers until each node holds its
+    root. Edges whose endpoints already share a root are dropped for good, and
+    every round with a remaining edge removes at least one root.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while src.size:
+        lu, lv = label[src], label[dst]
+        cross = lu != lv
+        if not cross.any():
+            break
+        src, dst, lu, lv = src[cross], dst[cross], lu[cross], lv[cross]
+        np.minimum.at(label, lu, lv)
+        np.minimum.at(label, lv, lu)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
+
+
 def connected_components(g: Graph) -> tuple[np.ndarray, list[int]]:
     """Label nodes by connected component.
 
     Returns (labels, sizes): labels are dense from 0 in order of each
     component's smallest node id; sizes[c] is the node count of component c.
     """
-    n = g.node_count
-    labels = np.full(n, -1, dtype=np.int64)
-    sizes: list[int] = []
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        comp = len(sizes)
-        labels[start] = comp
-        frontier = np.array([start], dtype=np.int32)
-        count = 1
-        while frontier.size:
-            nbrs = _frontier_neighbors(g, frontier)
-            nbrs = nbrs[labels[nbrs] == -1]
-            if nbrs.size == 0:
-                break
-            frontier = np.unique(nbrs)
-            labels[frontier] = comp
-            count += frontier.size
-        sizes.append(count)
-    return labels, sizes
+    roots = _min_labels(g.node_count, *_edge_endpoints(g))
+    _, labels = np.unique(roots, return_inverse=True)
+    return labels.astype(np.int64), np.bincount(labels).tolist()
 
 
 def dataset_stats(g: Graph) -> DatasetStats:

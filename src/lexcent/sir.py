@@ -7,23 +7,37 @@ node that was infectious at the start of the step recovers with probability
 gamma. Newly infected nodes become infectious at the next step. A run ends
 when no infectious nodes remain, or after max_steps.
 
+With gamma = 1 and no step cap every infectious node tries each edge to a
+susceptible neighbor exactly once, so the final outbreak from a seed has the
+distribution of the seed's cluster in a bond percolation that opens each edge
+with probability beta (Newman, PRE 66, 016128, 2002; Kenah & Robins, PRE 76,
+036113, 2007). score_all_nodes then scores every node from one percolation
+sample per replication: the same distribution as spreading_score, with the
+samples shared across nodes.
+
 Random streams are derived per replication: replication r seeded at node v
-draws from a stream keyed by (rng_seed, v, r), and multi-seed curve
-replications from (rng_seed, r). Results are therefore bit-identical no
-matter how the work is ordered or parallelized.
+draws from a stream keyed by (rng_seed, v, r); multi-seed curve replications
+and the percolation sample of replication r draw from (rng_seed, r). Results
+are therefore bit-identical no matter how the work is ordered or parallelized.
 """
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _edge_endpoints, _min_labels
 
 SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,10 +53,12 @@ class SirParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+        if not _is_int(self.replications) or self.replications < 1:
+            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        if self.max_steps is not None and (not _is_int(self.max_steps) or self.max_steps < 0):
+            raise ValueError(f"max_steps must be an integer >= 0, got {self.max_steps!r}")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +124,10 @@ def _spread(
 
 
 def _check_seeds(g: Graph, seeds: Iterable[int]) -> np.ndarray:
-    arr = np.unique(np.asarray(list(seeds), dtype=np.int64))
+    seeds = list(seeds)
+    if not all(_is_int(s) for s in seeds):
+        raise ValueError(f"seed ids must be integers, got {seeds!r}")
+    arr = np.unique(np.asarray(seeds, dtype=np.int64))
     if arr.size == 0:
         raise ValueError("seed set must not be empty")
     if arr.min() < 0 or arr.max() >= g.node_count:
@@ -199,11 +218,17 @@ def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult
 def score_all_nodes(
     g: Graph, params: SirParams, threads: int = 1
 ) -> list[SirResult]:
-    """spreading_score for every node, in node order.
+    """Spreading scores for every node, in node order; each has the same
+    distribution as spreading_score's.
 
-    Each node's replications use their own derived streams, so the result is
-    independent of evaluation order and of ``threads``.
+    At gamma = 1 without max_steps, replication r is one bond-percolation
+    sample shared by all nodes (see the module docstring) and ``threads`` is
+    not used. Otherwise every node runs its own spreading_score replications
+    on ``threads`` workers. Either way the result is independent of
+    evaluation order and of ``threads``.
     """
+    if params.gamma == 1.0 and params.max_steps is None:
+        return _percolation_scores(g, params)
     adj = g.adjacency_lists()
     n = g.node_count
 
@@ -214,6 +239,33 @@ def score_all_nodes(
         return [score(v) for v in range(n)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(score, range(n)))
+
+
+def _percolation_scores(g: Graph, params: SirParams) -> list[SirResult]:
+    """Replication r opens each undirected edge (u < v, in CSR order) whose
+    draw from the (rng_seed, r) stream is below beta and gives every node the
+    size of its open cluster; means and ddof=1 stds come from exact integer
+    sums of the sizes and of their squares."""
+    n, reps = g.node_count, params.replications
+    src, dst = _edge_endpoints(g)
+    total = np.zeros(n, dtype=np.int64)
+    total_sq = np.zeros(n, dtype=np.int64)
+    for r in range(reps):
+        is_open = _stream(params.rng_seed, (r,)).random(src.size) < params.beta
+        roots = _min_labels(n, src[is_open], dst[is_open])
+        size = np.bincount(roots)[roots]
+        total += size
+        total_sq += size * size
+    if reps > 1:
+        # reps * sum(x^2) - sum(x)^2 in Python integers: exact, cannot overflow
+        spread = reps * total_sq.astype(object) - total.astype(object) ** 2
+        stds = np.sqrt(spread.astype(np.float64) / (reps * (reps - 1)))
+    else:
+        stds = np.zeros(n)
+    return [
+        SirResult(mean_score=float(t / reps), score_std=float(sd))
+        for t, sd in zip(total, stds)
+    ]
 
 
 def mean_scores(results: Sequence[SirResult]) -> np.ndarray:

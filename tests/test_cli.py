@@ -403,3 +403,25 @@ def test_empty_top_x_fails_before_any_work(small_graph_file, tmp_path, capsys, m
     assert run(argv) == 2
     assert "x_percent=5.0 selects 0 of 5 nodes" in capsys.readouterr().err
     assert not out.exists()  # rejected before outputs were touched
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"replications": 2.5},
+        {"max_steps": 2.5},
+        {"seeds": [1.5], "max_steps": 3},
+        {"rng_seed": 1.5},
+        {"rng_seed": -1},
+    ],
+    ids=["replications", "steps", "seeds", "rng-seed", "negative-rng-seed"],
+)
+def test_non_integer_sir_counts_fail_before_any_work(small_graph_file, tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    argv = ["sir", "--graph", str(small_graph_file), "--beta", "0.5",
+            "--config", str(cfg), "--out", str(out)]
+    assert run(argv) == 2
+    assert "integer" in capsys.readouterr().err
+    assert not out.exists()  # rejected before outputs were touched

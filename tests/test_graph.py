@@ -4,10 +4,13 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexcent.graph import (
     EdgeListParseError,
     UNREACHABLE,
+    _frontier_neighbors,
     bfs_distances,
     connected_components,
     dataset_stats,
@@ -269,6 +272,63 @@ def test_components_isolated_nodes():
     labels, sizes = connected_components(from_edges(3, [(0, 1)]))
     assert labels.tolist() == [0, 0, 1]
     assert sizes == [2, 1]
+
+
+def reference_components(g):
+    """Connected components by one level-synchronous BFS per unlabelled
+    start node, in node order (the oracle for the hooking kernel)."""
+    n = g.node_count
+    labels = np.full(n, -1, dtype=np.int64)
+    sizes = []
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        comp = len(sizes)
+        labels[start] = comp
+        frontier = np.array([start], dtype=np.int32)
+        count = 1
+        while frontier.size:
+            nbrs = _frontier_neighbors(g, frontier)
+            nbrs = nbrs[labels[nbrs] == -1]
+            if nbrs.size == 0:
+                break
+            frontier = np.unique(nbrs)
+            labels[frontier] = comp
+            count += frontier.size
+        sizes.append(count)
+    return labels, sizes
+
+
+_SHUFFLED_PATH = list(range(300))
+random.Random(41).shuffle(_SHUFFLED_PATH)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=2 * n,
+            ),
+            st.permutations(range(n)),
+        )
+    )
+)
+@example((2, [(0, 1)], [0, 1]))
+@example((2, [], [0, 1]))
+@example((300, [(i, i + 1) for i in range(299)], _SHUFFLED_PATH))
+def test_components_match_bfs_oracle(case):
+    # sparse random edge sets leave several components and isolated nodes;
+    # the permutation interleaves their ids
+    n, pairs, perm = case
+    g = from_edges(n, [(perm[u], perm[v]) for u, v in pairs])
+    labels, sizes = connected_components(g)
+    expected_labels, expected_sizes = reference_components(g)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, expected_labels)
+    assert sizes == expected_sizes
 
 
 def test_components_labels_consistent_with_reachability():

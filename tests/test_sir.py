@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from lexcent.datasets import load_dataset
 from lexcent.graph import from_edges
 from lexcent.sir import (
     SirParams,
+    _stream,
     mean_scores,
     run_single,
     score_all_nodes,
@@ -14,7 +16,14 @@ from lexcent.sir import (
     spreading_score,
 )
 
-from test_graph import complete_graph, cycle_graph, path_graph, random_graph
+from test_centrality import random_disconnected_graph
+from test_graph import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    reference_components,
+)
 
 
 def stream(seed=0):
@@ -34,6 +43,13 @@ def test_params_validation():
         SirParams(beta=0.5, gamma=0.0)
     with pytest.raises(ValueError):
         SirParams(beta=0.5, replications=0)
+    with pytest.raises(ValueError, match="replications"):
+        SirParams(beta=0.5, replications=2.5)
+    with pytest.raises(ValueError, match="max_steps"):
+        SirParams(beta=0.5, max_steps=2.5)
+    with pytest.raises(ValueError, match="rng_seed"):
+        SirParams(beta=0.5, rng_seed=-1)
+    assert SirParams(beta=0.5, replications=np.int64(3)).replications == 3
 
 
 def test_seed_validation():
@@ -43,6 +59,8 @@ def test_seed_validation():
         run_single(g, [], params, stream())
     with pytest.raises(ValueError):
         run_single(g, [3], params, stream())
+    with pytest.raises(ValueError, match="integers"):
+        run_single(g, [1.5], params, stream())
 
 
 def test_spread_curve_requires_max_steps():
@@ -200,11 +218,13 @@ def test_identical_params_identical_results():
 
 
 def test_score_all_nodes_thread_invariant():
+    # gamma < 1 runs the per-node simulator on the thread pool
     g = random_graph(10, 0.3, random.Random(6))
-    params = SirParams(beta=0.25, gamma=1.0, replications=40, rng_seed=13)
-    serial = mean_scores(score_all_nodes(g, params, threads=1))
-    threaded = mean_scores(score_all_nodes(g, params, threads=8))
-    assert np.array_equal(serial, threaded)
+    for gamma in (1.0, 0.5):
+        params = SirParams(beta=0.25, gamma=gamma, replications=40, rng_seed=13)
+        serial = mean_scores(score_all_nodes(g, params, threads=1))
+        threaded = mean_scores(score_all_nodes(g, params, threads=8))
+        assert np.array_equal(serial, threaded)
 
 
 def test_spread_curve_deterministic_and_anchored():
@@ -216,3 +236,88 @@ def test_spread_curve_deterministic_and_anchored():
     assert a.curve[0] == 2.0
     assert len(a.curve) == 11
     assert all(y >= x for x, y in zip(a.curve, a.curve[1:]))
+
+
+# ---------------------------------------------------------------------------
+# score_all_nodes: one bond-percolation sample per replication at gamma = 1
+
+
+def percolation_sizes(g, params):
+    """Per-replication cluster sizes, rebuilt from the documented stream
+    design: replication r opens edge k of g.edges() when draw k of the
+    (rng_seed, r) stream is below beta."""
+    edges = list(g.edges())
+    sizes = np.empty((params.replications, g.node_count), dtype=np.int64)
+    for r in range(params.replications):
+        draws = _stream(params.rng_seed, (r,)).random(len(edges))
+        opened = [e for e, x in zip(edges, draws) if x < params.beta]
+        labels, counts = reference_components(from_edges(g.node_count, opened))
+        sizes[r] = np.asarray(counts)[labels]
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "g,beta",
+    [
+        (load_dataset("karate"), 0.1),
+        (random_disconnected_graph(random.Random(23)), 0.3),
+    ],
+    ids=["karate", "disconnected"],
+)
+def test_percolation_scores_match_simulator(g, beta):
+    reps = 20_000
+    perc = score_all_nodes(g, SirParams(beta=beta, replications=reps, rng_seed=17))
+    for v, fast in enumerate(perc):
+        sim = spreading_score(g, v, SirParams(beta=beta, replications=reps, rng_seed=18))
+        se = math.sqrt((fast.score_std**2 + sim.score_std**2) / reps)
+        if se == 0.0:
+            assert fast.mean_score == sim.mean_score == 1.0  # isolated node
+        else:
+            assert abs(fast.mean_score - sim.mean_score) < 4 * se, f"node {v}"
+
+
+def test_percolation_limits_are_exact():
+    g = random_disconnected_graph(random.Random(31))
+    labels, sizes = reference_components(g)
+    for beta, expected in ((0.0, np.ones(g.node_count)), (1.0, np.asarray(sizes)[labels])):
+        results = score_all_nodes(g, SirParams(beta=beta, replications=25, rng_seed=2))
+        assert np.array_equal(mean_scores(results), expected)
+        assert all(r.score_std == 0.0 for r in results)
+
+
+def test_percolation_two_node_expectation():
+    g = from_edges(2, [(0, 1)])
+    reps = 4000
+    for beta in (0.1, 0.5, 0.9):
+        results = score_all_nodes(g, SirParams(beta=beta, replications=reps, rng_seed=7))
+        se = math.sqrt(beta * (1 - beta) / reps)
+        for res in results:
+            assert abs(res.mean_score - (1 + beta)) < 4 * se
+
+
+def test_percolation_single_replication_has_zero_std():
+    results = score_all_nodes(path_graph(5), SirParams(beta=0.5, replications=1, rng_seed=3))
+    assert all(r.score_std == 0.0 for r in results)
+    assert all(1.0 <= r.mean_score <= 5.0 for r in results)
+
+
+def test_percolation_scores_follow_the_stream_design():
+    g = random_disconnected_graph(random.Random(37))
+    params = SirParams(beta=0.4, replications=60, rng_seed=9)
+    sizes = percolation_sizes(g, params)
+    results = score_all_nodes(g, params)
+    assert np.array_equal(mean_scores(results), sizes.mean(axis=0))
+    stds = np.array([r.score_std for r in results])
+    assert np.allclose(stds, sizes.std(axis=0, ddof=1), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "gamma,max_steps", [(0.5, None), (1.0, 2)], ids=["gamma0.5", "gamma1-steps2"]
+)
+def test_score_all_nodes_simulator_path_equals_spreading_score(gamma, max_steps):
+    g = random_disconnected_graph(random.Random(43))
+    params = SirParams(beta=0.35, gamma=gamma, replications=30, rng_seed=4,
+                       max_steps=max_steps)
+    for v, res in enumerate(score_all_nodes(g, params)):
+        single = spreading_score(g, v, params)
+        assert (res.mean_score, res.score_std) == (single.mean_score, single.score_std)
