@@ -31,7 +31,6 @@ from .graph import (
     EdgeListParseError,
     Graph,
     UNREACHABLE,
-    bfs_distances,
     connected_components,
     dataset_stats,
     from_edges,
@@ -74,7 +73,6 @@ __all__ = [
     "UNREACHABLE",
     "benchmark_runtime",
     "betweenness_centrality",
-    "bfs_distances",
     "build_ranking_matrix",
     "closeness_centrality",
     "compute_centrality",

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, UNREACHABLE, _frontier_neighbors, bfs_distances, k_shell
+from .graph import Graph, UNREACHABLE, _bfs_blocks, _frontier_neighbors, _source_bits, k_shell
+from .sir import _is_int
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
 
@@ -120,24 +121,30 @@ def closeness_centrality(
     distances to the r-1 other reachable nodes -- well defined on
     disconnected graphs and bounded by 1. paper_literal: n / S over reachable
     nodes only. Isolated nodes score 0 under both.
+
+    S and r-1 are exact integers summed per level of the bit-packed
+    all-sources BFS, so each score is the same double as a per-source BFS
+    gives.
     """
     if convention not in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
         raise ValueError(f"unknown closeness convention {convention!r}")
     n = g.node_count
     if n < 2:
         raise ValueError("closeness centrality requires at least 2 nodes")
+    total = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=np.int64)
+    for sources, levels in _bfs_blocks(g):
+        for depth, _, bits in levels:
+            count = _source_bits(bits).sum(axis=0, dtype=np.int64)[: sources.size]
+            total[sources] += depth * count
+            reached[sources] += count
     scores = np.zeros(n)
-    for i in range(n):
-        dist = bfs_distances(g, i)
-        reached = dist > 0
-        total = int(dist[reached].sum())
-        if total == 0:
-            continue
-        if convention == CC_PAPER_LITERAL:
-            scores[i] = n / total
-        else:
-            r = int(reached.sum()) + 1
-            scores[i] = ((r - 1) / total) * ((r - 1) / (n - 1))
+    some = total > 0
+    if convention == CC_PAPER_LITERAL:
+        scores[some] = n / total[some]
+    else:
+        r1 = reached[some]
+        scores[some] = (r1 / total[some]) * (r1 / (n - 1))
     return CentralityVector("CC", scores, {"convention": convention})
 
 
@@ -215,26 +222,32 @@ def gravity_centrality(
     """Gravity-style influence: sum of ks_i * ks_j / d(i,j)^exponent over every
     node j within ``radius`` hops of i, with ks the k-shell index.
 
-    Follows the measure's reference implementations: shortest-path distances
-    are computed per source, then each in-radius node contributes its own
-    mass term individually.
+    Follows the measure's reference implementations term for term: each
+    term is Python's ``(ks_i * ks_j) / (d**exponent)``, evaluated once per
+    pair of shell values and distance, and each source adds its terms one
+    at a time in ascending node order. The bit-packed BFS runs ``radius``
+    levels for 64 sources at once and writes their terms into a 64 x n
+    block; a running sum along each row then adds them in that order (adding
+    0.0 for out-of-radius nodes is exact), so scores are bitwise those of a
+    per-source loop.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    if not _is_int(radius) or radius < 1:
+        raise ValueError("radius must be an integer >= 1")
     n = g.node_count
-    shells = k_shell(g)
-    shell_vals: list[int] = shells.tolist()
+    shell_values, shell_of = np.unique(k_shell(g), return_inverse=True)
+    ks: list[int] = shell_values.tolist()
+    # terms[d - 1][a, b]: the term of shells ks[a], ks[b] at distance d
+    terms: list[np.ndarray] = []
     scores = np.zeros(n)
-    for i in range(n):
-        dist = bfs_distances(g, i)
-        within = (dist != UNREACHABLE) & (dist >= 1) & (dist <= radius)
-        nodes = np.nonzero(within)[0].tolist()
-        dists = dist[within].tolist()
-        acc = 0.0
-        ks_i = shell_vals[i]
-        for j, d in zip(nodes, dists):
-            acc += (ks_i * shell_vals[j]) / (d**exponent)
-        scores[i] = acc
+    for sources, levels in _bfs_blocks(g, max_depth=radius):
+        block = np.zeros((sources.size, n))
+        for depth, nodes, bits in levels:
+            if depth > len(terms):
+                terms.append(np.array([[a * b / depth**exponent for b in ks] for a in ks]))
+            hit = _source_bits(bits).T[: sources.size]
+            term = terms[depth - 1][shell_of[sources]][:, shell_of[nodes]]
+            block[:, nodes] += np.where(hit, term, 0.0)
+        scores[sources] = np.cumsum(block, axis=1)[:, -1]
     return CentralityVector("GC", scores, {"radius": radius, "exponent": exponent})
 
 

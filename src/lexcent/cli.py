@@ -94,8 +94,8 @@ class RunConfig:
 
     def validate(self) -> None:
         """Cheap precondition checks for every field, before any real work."""
-        if not 0 <= self.precision <= 15:
-            raise ValueError("precision must be between 0 and 15")
+        if not _is_int(self.precision) or not 0 <= self.precision <= 15:
+            raise ValueError("precision must be an integer between 0 and 15")
         if self.rounding not in ("half_even", "truncate"):
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
         known = set(VALUE_MEASURES) | {"lsc"}
@@ -125,16 +125,18 @@ class RunConfig:
             raise ValueError(f"unknown closeness convention {self.cc_convention!r}")
         if not self.ec_tol > 0:
             raise ValueError("ec-tol must be > 0")
-        if self.ec_max_iter < 1:
-            raise ValueError("ec-max-iter must be >= 1")
-        if self.gc_radius < 1:
-            raise ValueError("gc-radius must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.repetitions < 1:
-            raise ValueError("reps must be >= 1")
-        if self.top < 1:
-            raise ValueError("top must be >= 1")
+        if not _is_int(self.ec_max_iter) or self.ec_max_iter < 1:
+            raise ValueError("ec-max-iter must be an integer >= 1")
+        if not _is_int(self.gc_radius) or self.gc_radius < 1:
+            raise ValueError("gc-radius must be an integer >= 1")
+        if not _is_int(self.gc_exponent):
+            raise ValueError("gc-exponent must be an integer")
+        if not _is_int(self.threads) or self.threads < 1:
+            raise ValueError("threads must be an integer >= 1")
+        if not _is_int(self.repetitions) or self.repetitions < 1:
+            raise ValueError("reps must be an integer >= 1")
+        if not _is_int(self.top) or self.top < 1:
+            raise ValueError("top must be an integer >= 1")
 
     def measure_settings(self) -> dict:
         return {

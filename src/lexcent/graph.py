@@ -1,5 +1,6 @@
 """Graph representation, edge-list ingestion, synthetic generation, and
-structural primitives (BFS distances, connected components, k-shell).
+structural primitives (a bit-packed all-sources BFS, connected components,
+k-shell).
 
 Graphs are undirected, unweighted, and simple, with node ids 0..n-1.
 Adjacency is stored in CSR form (``indptr``/``indices``) with each node's
@@ -18,7 +19,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# Distance marker for nodes not reachable from the BFS source. Deliberately
+# Distance marker for nodes not reachable from a BFS source. Deliberately
 # not a large finite number so downstream sums cannot silently absorb it.
 UNREACHABLE = -1
 
@@ -246,25 +247,51 @@ def _frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     return g.indices[np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)]
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Exact unweighted shortest-path distances from source (int32 array);
-    unreachable nodes are marked UNREACHABLE (-1).
+def _bfs_blocks(g: Graph, max_depth: int | None = None):
+    """Breadth-first search from every node, 64 sources at a time.
+
+    Yields (sources, levels) per block of consecutive source ids; only the
+    last block can hold fewer than 64. Source sources[j] owns bit j of one
+    uint64 word per node, so one level expands all 64 searches at once: each
+    node ORs the frontier words of its CSR row (one reduceat over the
+    adjacency), and the bits it had not seen yet are its new frontier bits.
+    ``levels`` yields (depth, nodes, bits) for depth = 1, 2, ... while some
+    source still reaches a new node, and stops after ``max_depth`` levels
+    when one is given: ``nodes`` are ascending ids, and bit j of bits[k] is
+    set iff nodes[k] lies at distance ``depth`` from sources[j]. Unreachable
+    nodes appear in no level. Memory is O(n) words per block; consume each
+    block's levels before advancing to the next block.
     """
-    if not 0 <= source < g.node_count:
-        raise ValueError(f"source {source} out of range for n={g.node_count}")
-    dist = np.full(g.node_count, UNREACHABLE, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int32)
-    d = 0
-    while frontier.size:
-        nbrs = _frontier_neighbors(g, frontier)
-        nbrs = nbrs[dist[nbrs] == UNREACHABLE]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        d += 1
-        dist[frontier] = d
-    return dist
+    n = g.node_count
+    # reduceat over an empty row would return the next row's first entry (or
+    # run past the end), so only non-empty rows are reduced
+    has = g.indptr[1:] > g.indptr[:-1]
+    starts = g.indptr[:-1][has]
+
+    def levels(sources: np.ndarray):
+        seen = np.zeros(n, dtype=np.uint64)
+        seen[sources] = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
+        front, nxt = seen, np.zeros(n, dtype=np.uint64)
+        depth = 0
+        while max_depth is None or depth < max_depth:
+            nxt[has] = np.bitwise_or.reduceat(front[g.indices], starts)
+            front = nxt & ~seen
+            nodes = np.flatnonzero(front)
+            if nodes.size == 0:
+                return
+            depth += 1
+            seen |= front
+            yield depth, nodes, front[nodes]
+
+    for first in range(0, n, 64):
+        sources = np.arange(first, min(first + 64, n))
+        yield sources, levels(sources)
+
+
+def _source_bits(words: np.ndarray) -> np.ndarray:
+    """(len(words), 64) uint8 matrix whose entry [k, j] is bit j of words[k]."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, bitorder="little").reshape(-1, 64)
 
 
 def k_shell(g: Graph) -> np.ndarray:

@@ -4,10 +4,11 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexcent.centrality import (
+    CC_COMPONENT_SCALED,
     CC_PAPER_LITERAL,
     PowerIterationError,
     betweenness_centrality,
@@ -17,9 +18,9 @@ from lexcent.centrality import (
     eigenvector_centrality,
     gravity_centrality,
 )
-from lexcent.graph import bfs_distances, from_edges, generate_barabasi_albert, k_shell
+from lexcent.graph import from_edges, generate_barabasi_albert, k_shell
 
-from test_graph import complete_graph, cycle_graph, path_graph, random_graph
+from test_graph import complete_graph, cycle_graph, path_graph, queue_bfs, random_graph
 
 
 def star_graph(leaves):
@@ -184,6 +185,75 @@ def test_cc_matches_networkx():
     mine = closeness_centrality(g).scores
     for v in range(20):
         assert mine[v] == pytest.approx(expected[v], abs=1e-12)
+
+
+def reference_closeness(g, convention):
+    """One FIFO BFS per source, then the convention's formula on Python
+    ints: the per-source loop the bit-packed kernel must reproduce bit for
+    bit."""
+    n = g.node_count
+    scores = np.zeros(n)
+    for i in range(n):
+        dist = np.array(queue_bfs(g, i))
+        reached = dist > 0
+        total = int(dist[reached].sum())
+        if total == 0:
+            continue
+        if convention == CC_PAPER_LITERAL:
+            scores[i] = n / total
+        else:
+            r = int(reached.sum()) + 1
+            scores[i] = ((r - 1) / total) * ((r - 1) / (n - 1))
+    return scores
+
+
+def reference_gravity(g, radius, exponent):
+    """One FIFO BFS per source, then each in-radius node's term added in
+    ascending node order: the per-source loop the bit-packed kernel must
+    reproduce bit for bit."""
+    shells = k_shell(g).tolist()
+    scores = np.zeros(g.node_count)
+    for i in range(g.node_count):
+        acc = 0.0
+        for j, d in enumerate(queue_bfs(g, i)):
+            if 1 <= d <= radius:
+                acc += (shells[i] * shells[j]) / (d**exponent)
+        scores[i] = acc
+    return scores
+
+
+def sparse_edge_sets(max_n=150):
+    """(n, pairs) with 2 <= n <= max_n: up to n random pairs among nodes
+    1..n-2, so nodes 0 and n-1 stay isolated and most cases have several
+    components; sizes cross the 64- and 128-source block boundaries."""
+    return st.integers(min_value=2, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(1, max(1, n - 2)), st.integers(1, max(1, n - 2))),
+                max_size=n,
+            ),
+        )
+    )
+
+
+_STAR = (40, [(0, j) for j in range(1, 40)])
+_PATH_200 = (200, [(i, i + 1) for i in range(199)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_edge_sets())
+@example((2, []))
+@example((2, [(0, 1)]))
+@example((64, [(i, i + 1) for i in range(1, 62)]))
+@example((65, [(i, (3 * i) % 63 + 1) for i in range(1, 64)]))
+@example(_STAR)
+@example(_PATH_200)
+def test_cc_bitwise_equals_reference(case):
+    g = from_edges(*case)
+    for convention in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
+        mine = closeness_centrality(g, convention=convention).scores
+        assert np.array_equal(mine, reference_closeness(g, convention))
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +488,7 @@ def test_gc_radius_saturates_on_small_diameter():
     rng = random.Random(23)
     for _ in range(20):
         g = random_connected_graph(7, rng)
-        diameter = max(
-            int(bfs_distances(g, s).max()) for s in range(g.node_count)
-        )
+        diameter = max(max(queue_bfs(g, s)) for s in range(g.node_count))
         if diameter > 3:
             continue
         a = gravity_centrality(g, radius=3).scores
@@ -431,6 +499,38 @@ def test_gc_radius_saturates_on_small_diameter():
 def test_gc_rejects_bad_radius():
     with pytest.raises(ValueError):
         gravity_centrality(path_graph(3), radius=0)
+    with pytest.raises(ValueError):
+        gravity_centrality(path_graph(3), radius=2.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sparse_edge_sets(),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0, 1, 2, 3, -1]),
+)
+@example((2, []), 3, 2)
+@example((2, [(0, 1)]), 1, -1)
+@example((64, [(i, i + 1) for i in range(1, 62)]), 4, 3)
+@example((65, [(i, (3 * i) % 63 + 1) for i in range(1, 64)]), 2, 0)
+@example(_STAR, 2, 1)
+@example(_PATH_200, 4, 2)
+def test_gc_bitwise_equals_reference(case, radius, exponent):
+    g = from_edges(*case)
+    mine = gravity_centrality(g, radius=radius, exponent=exponent).scores
+    assert np.array_equal(mine, reference_gravity(g, radius, exponent))
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("exponent", [0, 1, 2, 3, -1])
+def test_gc_bitwise_equals_reference_on_mixed_shells(radius, exponent):
+    # a BA(100,4) core with a 30-node tail and two chords: k-shell indices
+    # 1 to 4 across three blocks of sources
+    core = list(generate_barabasi_albert(100, 4, 7).edges())
+    tail = [(7, 100)] + [(i, i + 1) for i in range(100, 129)] + [(110, 112), (112, 114)]
+    g = from_edges(130, core + tail)
+    mine = gravity_centrality(g, radius=radius, exponent=exponent).scores
+    assert np.array_equal(mine, reference_gravity(g, radius, exponent))
 
 
 # ---------------------------------------------------------------------------

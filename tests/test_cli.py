@@ -425,3 +425,29 @@ def test_non_integer_sir_counts_fail_before_any_work(small_graph_file, tmp_path,
     assert run(argv) == 2
     assert "integer" in capsys.readouterr().err
     assert not out.exists()  # rejected before outputs were touched
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"gc_radius": 2.5},
+        {"gc_exponent": 1.5},
+        {"ec_max_iter": 10.5},
+        {"top": 2.5},
+        {"repetitions": 1.5},
+        {"threads": 1.5},
+        {"threads": True},
+        {"precision": 2.5},
+    ],
+    ids=["gc-radius", "gc-exponent", "ec-max-iter", "top", "repetitions", "threads",
+         "bool-threads", "precision"],
+)
+def test_non_integer_settings_fail_before_any_work(small_graph_file, tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    argv = ["centrality", "--graph", str(small_graph_file), "--measures", "gc",
+            "--config", str(cfg), "--out", str(out)]
+    assert run(argv) == 2
+    assert "integer" in capsys.readouterr().err
+    assert not out.exists()  # rejected before outputs were touched

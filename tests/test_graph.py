@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from lexcent.graph import (
     EdgeListParseError,
     UNREACHABLE,
+    _bfs_blocks,
     _frontier_neighbors,
-    bfs_distances,
+    _source_bits,
     connected_components,
     dataset_stats,
     from_edges,
@@ -149,36 +150,73 @@ def test_ba_rejects_bad_m():
 
 
 # ---------------------------------------------------------------------------
-# BFS distances
+# bit-packed all-sources BFS
+
+
+def set_bits(word):
+    """Indices of the set bits of one uint64 word, ascending."""
+    w = int(word)
+    return [j for j in range(64) if w >> j & 1]
+
+
+def kernel_distances(g, max_depth=None):
+    """All-pairs distances rebuilt from the kernel's levels: row s holds the
+    distances from s, UNREACHABLE where no level reached. Bits are decoded
+    one at a time in Python, and the block and level shapes are checked on
+    the way."""
+    n = g.node_count
+    dist = [[UNREACHABLE] * n for _ in range(n)]
+    first = 0
+    for sources, levels in _bfs_blocks(g, max_depth):
+        assert sources.tolist() == list(range(first, min(first + 64, n)))
+        first += sources.size
+        for s in sources.tolist():
+            dist[s][s] = 0
+        expected_depth = 1
+        for depth, nodes, bits in levels:
+            assert depth == expected_depth
+            expected_depth += 1
+            assert nodes.size and np.all(np.diff(nodes) > 0)
+            for v, word in zip(nodes.tolist(), bits.tolist()):
+                reached = set_bits(word)
+                assert reached and reached[-1] < sources.size
+                for j in reached:
+                    assert dist[sources[j]][v] == UNREACHABLE  # one level per pair
+                    dist[sources[j]][v] = depth
+    assert first == n
+    return dist
 
 
 def test_bfs_path():
-    assert bfs_distances(path_graph(3), 0).tolist() == [0, 1, 2]
+    assert kernel_distances(path_graph(3))[0] == [0, 1, 2]
 
 
 def test_bfs_unreachable_marker():
     g = from_edges(3, [(0, 1)])
-    assert bfs_distances(g, 0).tolist() == [0, 1, UNREACHABLE]
+    assert kernel_distances(g) == [[0, 1, UNREACHABLE], [1, 0, UNREACHABLE],
+                                   [UNREACHABLE, UNREACHABLE, 0]]
 
 
 def test_bfs_cycle_c6():
-    assert bfs_distances(cycle_graph(6), 0).tolist() == [0, 1, 2, 3, 2, 1]
+    assert kernel_distances(cycle_graph(6))[0] == [0, 1, 2, 3, 2, 1]
 
 
-def test_bfs_source_out_of_range():
-    with pytest.raises(ValueError):
-        bfs_distances(path_graph(3), 3)
+def test_bfs_depth_cap_truncates_levels():
+    g = path_graph(130)
+    full = kernel_distances(g)
+    for cap in (1, 2, 5):
+        capped = kernel_distances(g, max_depth=cap)
+        assert capped == [[d if d <= cap else UNREACHABLE for d in row] for row in full]
 
 
 def test_bfs_triangle_property_on_random_graphs():
     rng = random.Random(11)
     for _ in range(10):
         g = random_graph(12, 0.3, rng)
-        for s in range(g.node_count):
-            dist = bfs_distances(g, s)
+        for dist in kernel_distances(g):
             for u, v in g.edges():
                 if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE:
-                    assert abs(int(dist[u]) - int(dist[v])) <= 1
+                    assert abs(dist[u] - dist[v]) <= 1
 
 
 def queue_bfs(g, source):
@@ -196,16 +234,31 @@ def queue_bfs(g, source):
 
 
 def test_bfs_matches_queue_bfs_from_every_source():
-    # wide frontiers (hubs of BA, dense random) and a disconnected sparse graph
+    # wide frontiers (hubs of BA, dense random), a disconnected sparse graph
+    # whose isolated nodes split the CSR rows, and sizes on either side of
+    # the 64-source block boundaries
     rng = random.Random(5)
     graphs = [
         generate_barabasi_albert(300, 3, 5),
         random_graph(60, 0.2, rng),
         random_graph(80, 0.02, rng),
+        from_edges(150, [(rng.randrange(1, 149), rng.randrange(1, 149)) for _ in range(120)]),
+        path_graph(64),
+        path_graph(65),
+        path_graph(129),
+        from_edges(2, []),
     ]
     for g in graphs:
+        dist = kernel_distances(g)
         for s in range(g.node_count):
-            assert bfs_distances(g, s).tolist() == queue_bfs(g, s)
+            assert dist[s] == queue_bfs(g, s)
+
+
+def test_source_bits_little_endian_columns():
+    words = np.array([1, 1 << 63 | 2, 0], dtype=np.uint64)
+    bits = _source_bits(words)
+    assert bits.shape == (3, 64)
+    assert [np.flatnonzero(row).tolist() for row in bits] == [[0], [1, 63], []]
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +389,10 @@ def test_components_labels_consistent_with_reachability():
     for _ in range(10):
         g = random_graph(10, 0.15, rng)
         labels, _ = connected_components(g)
+        dists = kernel_distances(g)
         for s in range(10):
-            dist = bfs_distances(g, s)
             for v in range(10):
-                reachable = dist[v] != UNREACHABLE
+                reachable = dists[s][v] != UNREACHABLE
                 assert (labels[v] == labels[s]) == reachable
 
 
