@@ -4,8 +4,10 @@ Subcommands: centrality, sir, evaluate, bench, fetch, stats. Every run
 resolves its settings into a RunConfig (defaults < --config file < explicit
 flags), validates them up front, writes the resolved config next to the
 outputs as run_config.json, and emits deterministic CSV/JSON: identical
-configs (including rng_seed) produce byte-identical files regardless of
---threads. Errors exit nonzero with a single 'error: ...' line on stderr.
+configs (including rng_seed) produce byte-identical files. --threads is
+accepted and recorded in run_config.json but has no effect: every command
+runs in one thread. Errors exit nonzero with a single 'error: ...' line on
+stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .ranking import (
 )
 from .sir import (
     SirParams,
+    _check_seeds,
     _is_int,
     mean_scores,
     score_all_nodes,
@@ -261,12 +264,17 @@ def cmd_centrality(config: RunConfig) -> None:
 def cmd_sir(config: RunConfig) -> None:
     g = _load_graph(config)
     params = _sir_params(config)
-    out = _outdir(config)
-    _write_labels(g, out)
     curve_mode = config.seeds is not None or config.seeds_from is not None
     if curve_mode:
         if params.max_steps is None:
             raise ValueError("curve mode requires --steps")
+        if config.seeds is not None:
+            _check_seeds(g, config.seeds)
+        elif config.seeds_from.lower() not in ("lsc", *VALUE_MEASURES):
+            raise ValueError(f"unknown --seeds-from measure {config.seeds_from!r}")
+    out = _outdir(config)
+    _write_labels(g, out)
+    if curve_mode:
         if config.seeds is not None:
             seeds = list(config.seeds)
             tag = "seeds"
@@ -280,11 +288,9 @@ def cmd_sir(config: RunConfig) -> None:
                     rounding=config.rounding,
                     **config.measure_settings(),
                 )
-            elif source in VALUE_MEASURES:
+            else:
                 vec = compute_centrality(g, source, **config.measure_settings())
                 ranking = ranking_from_scores(vec.scores, source.upper())
-            else:
-                raise ValueError(f"unknown --seeds-from measure {config.seeds_from!r}")
             seeds = list(ranking.ordered_nodes[: config.top])
             tag = source
         result = spread_curve(g, seeds, params)
@@ -447,8 +453,8 @@ def _add_sir_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", dest="rng_seed", type=int, help="master RNG seed")
     parser.add_argument(
         "--threads", type=int,
-        help="worker threads for per-node SIR runs at gamma < 1 or with --steps"
-        " (results identical)",
+        help="accepted for compatibility and recorded in run_config.json; has no"
+        " effect (every command runs in one thread)",
     )
 
 

@@ -63,10 +63,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    def adjacency_lists(self) -> list[np.ndarray]:
-        """Per-node neighbor arrays (views into the CSR storage)."""
-        return [self.neighbors(v) for v in range(self.node_count)]
-
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each undirected edge once as (u, v) with u < v, sorted."""
         for u in range(self.node_count):

@@ -18,13 +18,27 @@ samples shared across nodes.
 Random streams are derived per replication: replication r seeded at node v
 draws from a stream keyed by (rng_seed, v, r); multi-seed curve replications
 and the percolation sample of replication r draw from (rng_seed, r). Results
-are therefore bit-identical no matter how the work is ordered or parallelized.
+are therefore bit-identical no matter how the work is ordered or batched.
+
+Curves, spreading_score, run_single and score_all_nodes at gamma < 1 or with
+max_steps run one simulator, _simulate, which advances a block of
+replications together: the block's frontier is a list of (run, node) pairs
+and one CSR gather per step collects every run's contacts. Each run still
+consumes its own stream exactly as a run simulated alone would. Per step it
+draws, in one call, one uniform per susceptible contact in frontier order
+(infection) followed, when gamma < 1, by one per frontier node (recovery);
+Generator.random(a + b) yields the same values as random(a) then random(b),
+so this is the draw sequence of a per-run loop that makes the two calls
+separately. A run's next frontier is its surviving nodes in their previous
+order, then its new infections in ascending node order. Results are
+therefore bitwise equal to that per-run loop, which tests/test_sir.py keeps
+as the oracle reference_spread.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -77,52 +91,6 @@ def _stream(rng_seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=key))
 
 
-def _spread(
-    adj: list[np.ndarray],
-    n: int,
-    seeds: np.ndarray,
-    beta: float,
-    gamma: float,
-    max_steps: int | None,
-    rng: np.random.Generator,
-    curve: list[int] | None,
-) -> int:
-    """One run; returns the final ever-infected count and optionally appends
-    the cumulative count after each step to ``curve`` (curve[0] preloaded by
-    the caller). Draw order is fixed: infection draws over the frontier's
-    susceptible contacts, then recovery draws over the frontier.
-    """
-    state = np.zeros(n, dtype=np.uint8)
-    state[seeds] = INFECTIOUS
-    frontier = seeds
-    ever = int(seeds.size)
-    t = 0
-    while frontier.size and (max_steps is None or t < max_steps):
-        segments = [adj[v] for v in frontier]
-        contacts = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        contacts = contacts[state[contacts] == SUSCEPTIBLE]
-        if contacts.size:
-            hits = contacts[rng.random(contacts.size) < beta]
-            new = np.unique(hits)
-        else:
-            new = contacts
-        if gamma >= 1.0:
-            state[frontier] = RECOVERED
-            survivors = frontier[:0]
-        else:
-            recovered = rng.random(frontier.size) < gamma
-            state[frontier[recovered]] = RECOVERED
-            survivors = frontier[~recovered]
-        if new.size:
-            state[new] = INFECTIOUS
-            ever += int(new.size)
-        frontier = new if survivors.size == 0 else np.concatenate([survivors, new])
-        t += 1
-        if curve is not None:
-            curve.append(ever)
-    return ever
-
-
 def _check_seeds(g: Graph, seeds: Iterable[int]) -> np.ndarray:
     seeds = list(seeds)
     if not all(_is_int(s) for s in seeds):
@@ -147,15 +115,12 @@ def run_single(
     at |seeds| and gains one entry per executed step; when max_steps is set
     it is padded to length max_steps + 1 with the final value.
     """
-    seed_arr = _check_seeds(g, seeds)
-    curve = [int(seed_arr.size)]
-    final = _spread(
-        g.adjacency_lists(), g.node_count, seed_arr,
-        params.beta, params.gamma, params.max_steps, rng, curve,
-    )
-    if params.max_steps is not None and len(curve) < params.max_steps + 1:
-        curve.extend([final] * (params.max_steps + 1 - len(curve)))
-    return final, curve
+    curve: list[int] = []
+    finals = _simulate(g, [(_check_seeds(g, seeds), rng)], params.beta, params.gamma,
+                       params.max_steps, curve)
+    if params.max_steps is not None:
+        curve.extend([curve[-1]] * (params.max_steps + 1 - len(curve)))
+    return int(finals[0]), curve
 
 
 def spreading_score(
@@ -166,26 +131,10 @@ def spreading_score(
 ) -> SirResult:
     """Mean final spread size over ``params.replications`` independent runs
     with node ``seed`` as the sole initially infectious node."""
-    _check_seeds(g, [seed])
-    return _node_score(g.adjacency_lists(), g.node_count, seed, params, keep_replications)
-
-
-def _node_score(
-    adj: list[np.ndarray], n: int, seed: int, params: SirParams, keep_replications: bool
-) -> SirResult:
-    """spreading_score for a checked seed on prebuilt adjacency lists."""
-    seed_arr = np.array([seed], dtype=np.int32)
-    finals = np.empty(params.replications, dtype=np.int64)
-    for r in range(params.replications):
-        rng = _stream(params.rng_seed, (seed, r))
-        finals[r] = _spread(adj, n, seed_arr, params.beta, params.gamma,
-                            params.max_steps, rng, None)
-    std = float(finals.std(ddof=1)) if params.replications > 1 else 0.0
-    return SirResult(
-        mean_score=float(finals.mean()),
-        score_std=std,
-        per_replication_scores=tuple(int(v) for v in finals) if keep_replications else None,
-    )
+    seed_arr = _check_seeds(g, [seed])
+    runs = ((seed_arr, _stream(params.rng_seed, (seed, r))) for r in range(params.replications))
+    finals = _simulate(g, runs, params.beta, params.gamma, params.max_steps)
+    return _summary(finals, keep_replications)
 
 
 def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult:
@@ -194,25 +143,13 @@ def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult
     if params.max_steps is None:
         raise ValueError("spread_curve requires max_steps")
     seed_arr = _check_seeds(g, seeds)
-    adj = g.adjacency_lists()
-    n = g.node_count
-    steps = params.max_steps
-    curve_sum = np.zeros(steps + 1, dtype=np.float64)
-    finals = np.empty(params.replications, dtype=np.int64)
-    for r in range(params.replications):
-        rng = _stream(params.rng_seed, (r,))
-        curve = [int(seed_arr.size)]
-        finals[r] = _spread(adj, n, seed_arr, params.beta, params.gamma,
-                            steps, rng, curve)
-        if len(curve) < steps + 1:
-            curve.extend([curve[-1]] * (steps + 1 - len(curve)))
-        curve_sum += curve
-    std = float(finals.std(ddof=1)) if params.replications > 1 else 0.0
-    return SirResult(
-        mean_score=float(finals.mean()),
-        score_std=std,
-        curve=curve_sum / params.replications,
-    )
+    runs = ((seed_arr, _stream(params.rng_seed, (r,))) for r in range(params.replications))
+    curve: list[int] = []
+    finals = _simulate(g, runs, params.beta, params.gamma, params.max_steps, curve)
+    curve.extend([curve[-1]] * (params.max_steps + 1 - len(curve)))
+    # sums of integers below 2**53 are exact, so the mean does not depend on
+    # the order in which the runs were added
+    return _summary(finals, curve=np.array(curve, dtype=np.float64) / params.replications)
 
 
 def score_all_nodes(
@@ -222,23 +159,164 @@ def score_all_nodes(
     distribution as spreading_score's.
 
     At gamma = 1 without max_steps, replication r is one bond-percolation
-    sample shared by all nodes (see the module docstring) and ``threads`` is
-    not used. Otherwise every node runs its own spreading_score replications
-    on ``threads`` workers. Either way the result is independent of
-    evaluation order and of ``threads``.
+    sample shared by all nodes (see the module docstring). Otherwise every
+    node gets exactly spreading_score's result, with the replications of
+    several nodes simulated together. ``threads`` has no effect; it is kept
+    so that existing callers and configs stay valid.
     """
     if params.gamma == 1.0 and params.max_steps is None:
         return _percolation_scores(g, params)
-    adj = g.adjacency_lists()
+    reps = params.replications
+    # as many nodes per _simulate call as fill one block, so finals stay small
+    per_call = max(1, _block_runs(g) // reps)
+    results = []
+    for first in range(0, g.node_count, per_call):
+        nodes = range(first, min(first + per_call, g.node_count))
+        runs = (
+            (np.array([v], dtype=np.int32), _stream(params.rng_seed, (v, r)))
+            for v in nodes
+            for r in range(reps)
+        )
+        finals = _simulate(g, runs, params.beta, params.gamma, params.max_steps)
+        results.extend(_summary(row) for row in finals.reshape(len(nodes), reps))
+    return results
+
+
+def _summary(
+    finals: np.ndarray, keep_replications: bool = False, curve: np.ndarray | None = None
+) -> SirResult:
+    """Mean and ddof=1 std of one contiguous int64 array of final sizes."""
+    std = float(finals.std(ddof=1)) if finals.size > 1 else 0.0
+    return SirResult(
+        mean_score=float(finals.mean()),
+        score_std=std,
+        per_replication_scores=tuple(int(v) for v in finals) if keep_replications else None,
+        curve=curve,
+    )
+
+
+# Elements one simulation step may touch per block: a step gathers at most
+# 2m contacts per run and the state array holds n bytes per run.
+_STEP_ELEMENTS = 1 << 19
+
+
+def _block_runs(g: Graph) -> int:
+    """Runs per block: at most _STEP_ELEMENTS // max(n, 2m), and at least 1."""
+    return max(1, _STEP_ELEMENTS // max(g.node_count, g.indices.size, 1))
+
+
+def _simulate(
+    g: Graph,
+    runs: Iterable[tuple[np.ndarray, np.random.Generator]],
+    beta: float,
+    gamma: float,
+    max_steps: int | None,
+    curve: list[int] | None = None,
+) -> np.ndarray:
+    """Final ever-infected count of every (seeds, rng) run, in run order.
+
+    ``seeds`` is a checked int32 seed array and ``rng`` the run's own stream;
+    runs are consumed lazily, one block of _block_runs(g) at a time. When
+    ``curve`` is given it gains, for t = 0, 1, ..., the ever-infected count
+    summed over all runs after step t, up to the last step any run executed;
+    a run that has ended counts its final size.
+    """
+    # int32 CSR offsets keep the per-contact gather index at 4 bytes
+    offsets = g.indptr.astype(np.int32) if g.indices.size < 2**31 else g.indptr
+    runs = iter(runs)
+    finals = [np.empty(0, dtype=np.int64)]
+    while block := list(itertools.islice(runs, _block_runs(g))):
+        seeds, rngs = zip(*block)
+        ever, series = _simulate_block(g, offsets, seeds, rngs, beta, gamma, max_steps)
+        finals.append(ever)
+        if curve is not None:
+            # every earlier block is padded to len(curve), so curve[-1] is
+            # the sum of their final sizes
+            curve.extend([curve[-1] if curve else 0] * (len(series) - len(curve)))
+            for t in range(len(curve)):
+                curve[t] += series[min(t, len(series) - 1)]
+    return np.concatenate(finals)
+
+
+def _simulate_block(
+    g: Graph,
+    offsets: np.ndarray,
+    seeds: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    beta: float,
+    gamma: float,
+    max_steps: int | None,
+) -> tuple[np.ndarray, list[int]]:
+    """Advance len(rngs) runs together; returns their final ever-infected
+    counts and the block's summed ever-infected count after each step.
+
+    The frontier is the pair of int32 arrays (frun, fnode), grouped by run
+    and, within a run, in the order of a run simulated alone; fcount holds
+    each run's frontier size. The state of node v in run i is state[i*n + v];
+    these keys stay below max(_STEP_ELEMENTS, n), so int32 holds them.
+    """
     n = g.node_count
-
-    def score(v: int) -> SirResult:
-        return _node_score(adj, n, v, params, False)
-
-    if threads <= 1:
-        return [score(v) for v in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(score, range(n)))
+    b = len(rngs)
+    deg = np.diff(offsets)
+    recovers = gamma < 1.0
+    fcount = np.array([s.size for s in seeds], dtype=np.int64)
+    frun = np.repeat(np.arange(b, dtype=np.int32), fcount)
+    fnode = np.concatenate(seeds)
+    state = np.zeros(b * n, dtype=np.uint8)
+    state[frun * n + fnode] = INFECTIOUS
+    ever = fcount.copy()
+    series = [int(fcount.sum())]
+    # draw-order mask for each run's [infection draws, recovery draws]
+    halves = np.tile(np.array([True, False]), b)
+    # take() and compress() rather than [] below: with int32 indices and
+    # boolean masks, [] indexing is two to three times slower here
+    while fnode.size and (max_steps is None or len(series) <= max_steps):
+        # contacts: the CSR rows of the frontier in frontier order, as keys
+        lens = deg.take(fnode)
+        ends = np.cumsum(lens, dtype=offsets.dtype)
+        src = np.repeat(offsets.take(fnode) - ends + lens, lens)
+        src += np.arange(src.size, dtype=src.dtype)
+        contacts = np.repeat(frun * n, lens)
+        contacts += g.indices.take(src)
+        del src
+        contacts = contacts.compress(state.take(contacts) == SUSCEPTIBLE)
+        per_run = np.bincount(contacts // n, minlength=b)
+        need = per_run + fcount if recovers else per_run
+        draws = np.empty(int(need.sum()))
+        live = np.flatnonzero(need)
+        stop = 0
+        for i, k in zip(live.tolist(), need[live].tolist()):
+            rngs[i].random(out=draws[stop:stop + k])
+            stop += k
+        infects = draws < beta
+        if recovers:
+            first = np.repeat(halves, np.column_stack((per_run, fcount)).ravel())
+            recovered = draws.compress(~first) < gamma
+            infects = infects.compress(first)
+        del draws
+        # unique keys ascending: by run, then each run's new nodes ascending
+        new = np.sort(contacts.compress(infects))
+        if new.size > 1:
+            new = new.compress(np.concatenate(([True], new[1:] != new[:-1])))
+        fkey = frun * n + fnode
+        state[fkey.compress(recovered) if recovers else fkey] = RECOVERED
+        state[new] = INFECTIOUS
+        nrun = new // n
+        nnode = new - nrun * n
+        ncount = np.bincount(nrun, minlength=b)
+        ever += ncount
+        series.append(series[-1] + int(new.size))
+        if recovers:
+            # each run's survivors in their old order, then its new nodes
+            keep = ~recovered
+            frun = np.concatenate([frun.compress(keep), nrun])
+            fnode = np.concatenate([fnode.compress(keep), nnode])
+            order = np.argsort(frun, kind="stable")
+            frun, fnode = frun.take(order), fnode.take(order)
+            fcount = np.bincount(frun, minlength=b)
+        else:
+            frun, fnode, fcount = nrun, nnode, ncount
+    return ever, series
 
 
 def _percolation_scores(g: Graph, params: SirParams) -> list[SirResult]:

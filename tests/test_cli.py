@@ -428,6 +428,25 @@ def test_non_integer_sir_counts_fail_before_any_work(small_graph_file, tmp_path,
 
 
 @pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--seeds", "0,1"], "requires --steps"),
+        (["--seeds-from", "pagerank", "--steps", "3"], "unknown --seeds-from"),
+        (["--seeds", "0,5", "--steps", "3"], "out of range"),
+    ],
+    ids=["no-steps", "unknown-measure", "seed-out-of-range"],
+)
+def test_bad_curve_settings_fail_before_any_work(small_graph_file, tmp_path, capsys, flags,
+                                                 message):
+    out = tmp_path / "o"
+    argv = ["sir", "--graph", str(small_graph_file), "--beta", "0.5", *flags,
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before outputs were touched
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {"gc_radius": 2.5},

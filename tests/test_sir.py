@@ -1,12 +1,19 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lexcent import sir
 from lexcent.datasets import load_dataset
 from lexcent.graph import from_edges
 from lexcent.sir import (
+    INFECTIOUS,
+    RECOVERED,
+    SUSCEPTIBLE,
     SirParams,
     _stream,
     mean_scores,
@@ -16,7 +23,7 @@ from lexcent.sir import (
     spreading_score,
 )
 
-from test_centrality import random_disconnected_graph
+from test_centrality import random_disconnected_graph, sparse_edge_sets
 from test_graph import (
     complete_graph,
     cycle_graph,
@@ -206,6 +213,173 @@ def test_engine_matches_reference_distribution():
 
 
 # ---------------------------------------------------------------------------
+# exact oracle: the per-replication simulator, compared bit for bit
+
+
+def reference_spread(adj, n, seeds, beta, gamma, max_steps, rng, curve):
+    """One run; returns the final ever-infected count and optionally appends
+    the cumulative count after each step to ``curve`` (curve[0] preloaded by
+    the caller). Draw order is fixed: infection draws over the frontier's
+    susceptible contacts, then recovery draws over the frontier.
+    """
+    state = np.zeros(n, dtype=np.uint8)
+    state[seeds] = INFECTIOUS
+    frontier = seeds
+    ever = int(seeds.size)
+    t = 0
+    while frontier.size and (max_steps is None or t < max_steps):
+        segments = [adj[v] for v in frontier]
+        contacts = segments[0] if len(segments) == 1 else np.concatenate(segments)
+        contacts = contacts[state[contacts] == SUSCEPTIBLE]
+        if contacts.size:
+            hits = contacts[rng.random(contacts.size) < beta]
+            new = np.unique(hits)
+        else:
+            new = contacts
+        if gamma >= 1.0:
+            state[frontier] = RECOVERED
+            survivors = frontier[:0]
+        else:
+            recovered = rng.random(frontier.size) < gamma
+            state[frontier[recovered]] = RECOVERED
+            survivors = frontier[~recovered]
+        if new.size:
+            state[new] = INFECTIOUS
+            ever += int(new.size)
+        frontier = new if survivors.size == 0 else np.concatenate([survivors, new])
+        t += 1
+        if curve is not None:
+            curve.append(ever)
+    return ever
+
+
+def seed_array(seeds):
+    return np.unique(np.asarray(seeds, dtype=np.int64)).astype(np.int32)
+
+
+def adjacency_lists(g):
+    return [g.neighbors(v) for v in range(g.node_count)]
+
+
+def reference_run_single(g, seeds, params, rng):
+    seed_arr = seed_array(seeds)
+    curve = [int(seed_arr.size)]
+    final = reference_spread(adjacency_lists(g), g.node_count, seed_arr, params.beta,
+                             params.gamma, params.max_steps, rng, curve)
+    if params.max_steps is not None and len(curve) < params.max_steps + 1:
+        curve.extend([final] * (params.max_steps + 1 - len(curve)))
+    return final, curve
+
+
+def reference_node_finals(g, seed, params):
+    """Final sizes of spreading_score's replications, run one at a time."""
+    adj, seed_arr = adjacency_lists(g), seed_array([seed])
+    finals = np.empty(params.replications, dtype=np.int64)
+    for r in range(params.replications):
+        finals[r] = reference_spread(adj, g.node_count, seed_arr, params.beta, params.gamma,
+                                     params.max_steps, _stream(params.rng_seed, (seed, r)), None)
+    return finals
+
+
+def reference_curve(g, seeds, params):
+    """(mean, std, curve) of spread_curve, run one replication at a time."""
+    adj, seed_arr, steps = adjacency_lists(g), seed_array(seeds), params.max_steps
+    curve_sum = np.zeros(steps + 1, dtype=np.float64)
+    finals = np.empty(params.replications, dtype=np.int64)
+    for r in range(params.replications):
+        curve = [int(seed_arr.size)]
+        finals[r] = reference_spread(adj, g.node_count, seed_arr, params.beta, params.gamma,
+                                     steps, _stream(params.rng_seed, (r,)), curve)
+        curve.extend([curve[-1]] * (steps + 1 - len(curve)))
+        curve_sum += curve
+    return summary(finals) + (curve_sum / params.replications,)
+
+
+def summary(finals):
+    std = float(finals.std(ddof=1)) if finals.size > 1 else 0.0
+    return float(finals.mean()), std
+
+
+@pytest.mark.parametrize("rng_seed,key", [(0, (0,)), (1, (2999,)), (7, (3, 5)), (12345, (0, 9))])
+def test_stream_draws_split_at_any_point(rng_seed, key):
+    # the engine draws a run's infection and recovery uniforms in one call;
+    # that equals the two separate calls only while this property holds
+    for a, b in [(0, 5), (1, 1), (3, 1000), (1000, 3), (4097, 123)]:
+        whole = _stream(rng_seed, key).random(a + b)
+        rng = _stream(rng_seed, key)
+        parts = np.concatenate([rng.random(a), rng.random(0), rng.random(b)])
+        assert np.array_equal(parts, whole)
+        rng, filled = _stream(rng_seed, key), np.empty(a + b)
+        rng.random(out=filled[:a])
+        rng.random(out=filled[a:])
+        assert np.array_equal(filled, whole)
+
+
+def simulation_cases():
+    """A sparse graph (isolated nodes, several components, n >= 2), 1-3
+    seeds, SIR settings, a replication count and a block size in runs."""
+    return sparse_edge_sets(max_n=30).flatmap(
+        lambda case: st.tuples(
+            st.just(case),
+            st.lists(st.integers(0, case[0] - 1), min_size=1, max_size=3, unique=True),
+            st.sampled_from([0.0, 0.3, 1.0]),
+            st.sampled_from([0.2, 1.0]),
+            st.sampled_from([None, 0, 1, 5]),
+            st.integers(1, 9),
+            st.integers(1, 4),
+            st.integers(0, 2**32),
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulation_cases())
+@example(((2, []), [0, 1], 1.0, 0.2, None, 7, 3, 0))
+@example(((2, [(0, 1)]), [1], 0.3, 0.2, 5, 7, 3, 1))
+@example(((12, [(i, i + 1) for i in range(1, 10)]), [1, 5, 10], 1.0, 0.2, None, 9, 2, 2))
+@example(((30, [(1, j) for j in range(2, 29)] + [(5, 6), (7, 8)]), [1], 0.3, 0.2, 5, 5, 4, 3))
+def test_engine_bitwise_equals_reference(case):
+    (n, pairs), seeds, beta, gamma, max_steps, reps, block, rng_seed = case
+    g = from_edges(n, pairs)
+    params = SirParams(beta=beta, gamma=gamma, replications=reps, rng_seed=rng_seed,
+                       max_steps=max_steps)
+    # blocks of `block` runs, so most replication counts leave a partial block
+    elements = block * max(g.node_count, g.indices.size, 1)
+    with mock.patch.object(sir, "_STEP_ELEMENTS", elements):
+        assert sir._block_runs(g) == block
+
+        final, curve = run_single(g, seeds, params, np.random.default_rng(rng_seed))
+        assert (final, curve) == reference_run_single(g, seeds, params,
+                                                      np.random.default_rng(rng_seed))
+
+        score = spreading_score(g, seeds[0], params, keep_replications=True)
+        finals = reference_node_finals(g, seeds[0], params)
+        assert score.per_replication_scores == tuple(int(x) for x in finals)
+        assert (score.mean_score, score.score_std) == summary(finals)
+
+        if max_steps is not None:
+            res = spread_curve(g, seeds, params)
+            mean, std, ref_curve = reference_curve(g, seeds, params)
+            assert (res.mean_score, res.score_std) == (mean, std)
+            assert np.array_equal(res.curve, ref_curve)
+
+        if gamma < 1.0 or max_steps is not None:
+            for v, res in enumerate(score_all_nodes(g, params)):
+                assert (res.mean_score, res.score_std) == summary(
+                    reference_node_finals(g, v, params)), f"node {v}"
+
+
+def test_engine_equals_reference_on_karate_curve():
+    # many replications per block, a connected graph and curves that plateau
+    g = load_dataset("karate")
+    params = SirParams(beta=0.2, gamma=0.5, replications=300, rng_seed=5, max_steps=12)
+    res = spread_curve(g, [0, 33], params)
+    mean, std, curve = reference_curve(g, [0, 33], params)
+    assert (res.mean_score, res.score_std) == (mean, std)
+    assert np.array_equal(res.curve, curve)
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 
@@ -218,7 +392,7 @@ def test_identical_params_identical_results():
 
 
 def test_score_all_nodes_thread_invariant():
-    # gamma < 1 runs the per-node simulator on the thread pool
+    # gamma < 1 runs the batched simulator; threads must not change its result
     g = random_graph(10, 0.3, random.Random(6))
     for gamma in (1.0, 0.5):
         params = SirParams(beta=0.25, gamma=gamma, replications=40, rng_seed=13)
