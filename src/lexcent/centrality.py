@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, UNREACHABLE, _bfs_blocks, _frontier_neighbors, _source_bits, k_shell
+from .graph import Graph, _bfs_blocks, _source_bits, k_shell
 from .sir import _is_int
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
@@ -168,34 +168,41 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
     n = g.node_count
     if normalized and n < 3:
         raise ValueError("normalized betweenness requires at least 3 nodes")
-    degrees = g.degrees()
-    dist = np.full(n, UNREACHABLE, dtype=np.int32)
+    indptr, degrees = g.indptr, g.degrees()
+    # an int64 copy, so gathered neighbor ids index without a conversion
+    indices = g.indices.astype(np.int64)
+    seen = np.zeros(n, dtype=bool)
     # per reached node: the smallest gather index naming it, then its
     # position within its level
     slot = np.zeros(n, dtype=np.int64)
     bc = np.zeros(n)
     for s in range(n):
-        dist[s] = 0
+        seen[s] = True
         frontier = np.array([s], dtype=np.int64)
         levels = [frontier]
         sigmas = [np.ones(1)]
         dag: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, child) positions
         while True:
-            nbrs = _frontier_neighbors(g, frontier)
-            fresh = dist[nbrs] == UNREACHABLE
-            child = nbrs[fresh]
+            # the frontier's CSR rows in frontier order: entry k of a row
+            # that starts at output offset o is indices[indptr[v] + k - o]
+            lens = degrees.take(frontier)
+            ends = np.cumsum(lens)
+            shift = np.repeat(indptr.take(frontier) - (ends - lens), lens)
+            nbrs = indices.take(np.arange(ends[-1]) + shift)
+            fresh = np.logical_not(seen.take(nbrs))
+            child = nbrs.compress(fresh)
             if child.size == 0:
                 break
-            parent = np.repeat(np.arange(frontier.size), degrees[frontier])[fresh]
+            parent = np.repeat(np.arange(frontier.size), lens).compress(fresh)
             entry = np.arange(child.size)
             slot[child] = child.size
             np.minimum.at(slot, child, entry)
-            frontier = child[slot[child] == entry]
+            frontier = child.compress(slot.take(child) == entry)
             slot[frontier] = np.arange(frontier.size)
-            child = slot[child]
-            dist[frontier] = len(levels)
+            child = slot.take(child)
+            seen[frontier] = True
             sigmas.append(
-                np.bincount(child, weights=sigmas[-1][parent], minlength=frontier.size)
+                np.bincount(child, weights=sigmas[-1].take(parent), minlength=frontier.size)
             )
             levels.append(frontier)
             dag.append((parent, child))
@@ -204,12 +211,20 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
             bc[levels[d + 1]] += delta
             coeff = (1.0 + delta) / sigmas[d + 1]
             parent, child = dag[d]
-            order = np.argsort(-child, kind="stable")
-            parent, child = parent[order], child[order]
+            # descending child position as an ascending unsigned key, which
+            # numpy radix-sorts when it fits 8 or 16 bits; a child's edges
+            # all have distinct parents, so each parent's terms keep their
+            # order whatever the sort does with equal keys
+            top = levels[d + 1].size - 1
+            key = (top - child).astype(np.min_scalar_type(top))
+            order = np.argsort(key, kind="stable")
+            parent, child = parent.take(order), child.take(order)
             delta = np.bincount(
-                parent, weights=sigmas[d][parent] * coeff[child], minlength=levels[d].size
+                parent,
+                weights=sigmas[d].take(parent) * coeff.take(child),
+                minlength=levels[d].size,
             )
-        dist[np.concatenate(levels)] = UNREACHABLE
+        seen[np.concatenate(levels)] = False
     bc /= 2.0  # undirected: every pair was accumulated from both endpoints
     if normalized:
         bc /= (n - 1) * (n - 2) / 2.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import urllib.request
 import zipfile
 from dataclasses import dataclass
 from importlib import resources
@@ -140,6 +139,10 @@ def fetch(
     target = Path(data_dir) / f"{name}.txt"
     if target.exists() and not force:
         return target
+    # imported here, not at module top: it is the slowest import of the
+    # package, and only a download needs it
+    import urllib.request
+
     try:
         with urllib.request.urlopen(info.url, timeout=timeout) as resp:
             payload = resp.read()

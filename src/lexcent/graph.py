@@ -233,16 +233,6 @@ def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:
     return from_edges(n, edges)
 
 
-def _frontier_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
-    """The CSR rows of every frontier node, concatenated in frontier order,
-    gathered in one indexing step: entry k lies in the row of node v at
-    indptr[v] + (k - offset of v's row in the output).
-    """
-    starts = g.indptr[frontier]
-    lens = g.indptr[frontier + 1] - starts
-    return g.indices[np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)]
-
-
 def _bfs_blocks(g: Graph, max_depth: int | None = None):
     """Breadth-first search from every node, 64 sources at a time.
 
@@ -270,14 +260,14 @@ def _bfs_blocks(g: Graph, max_depth: int | None = None):
         front, nxt = seen, np.zeros(n, dtype=np.uint64)
         depth = 0
         while max_depth is None or depth < max_depth:
-            nxt[has] = np.bitwise_or.reduceat(front[g.indices], starts)
+            nxt[has] = np.bitwise_or.reduceat(front.take(g.indices), starts)
             front = nxt & ~seen
             nodes = np.flatnonzero(front)
             if nodes.size == 0:
                 return
             depth += 1
             seen |= front
-            yield depth, nodes, front[nodes]
+            yield depth, nodes, front.take(nodes)
 
     for first in range(0, n, 64):
         sources = np.arange(first, min(first + 64, n))

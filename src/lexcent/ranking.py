@@ -67,7 +67,8 @@ def build_ranking_matrix(
     them into one row per node, columns in the given vector order.
 
     Rounding is decimal (via the values' shortest decimal representation):
-    half-to-even by default, or plain truncation toward zero.
+    half-to-even by default, or plain truncation toward zero. A score whose
+    scaled integer does not fit int64 is a ValueError naming the measure.
     """
     if not vectors:
         raise ValueError("at least one centrality vector is required")
@@ -83,7 +84,17 @@ def build_ranking_matrix(
             )
     scaled = np.empty((n, len(vectors)), dtype=np.int64)
     for col, vec in enumerate(vectors):
-        scaled[:, col] = [_scaled_int(v, precision, rounding) for v in vec.scores]
+        column = [_scaled_int(v, precision, rounding) for v in vec.scores]
+        try:
+            scaled[:, col] = column
+        except OverflowError:
+            worst = max(column, key=abs)
+            value = float(vec.scores[column.index(worst)])
+            raise ValueError(
+                f"{vec.measure} score {value!r} at precision {precision} scales to "
+                f"{worst}, outside the int64 range of the ranking matrix; use a lower "
+                "precision"
+            ) from None
     values = scaled.astype(np.float64) / 10.0**precision
     return RankingMatrix(
         node_ids=tuple(range(n)),

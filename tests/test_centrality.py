@@ -373,6 +373,25 @@ def complete_bipartite_graph(a, b):
     return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def grid_graph(rows, cols):
+    def node(r, c):
+        return r * cols + c
+
+    edges = [(node(r, c), node(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(node(r, c), node(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return from_edges(rows * cols, edges)
+
+
+def hubs_with_tails(rng):
+    """K(2,300) plus 40 nodes each joined to 1-3 random nodes of the 300:
+    levels of 300 nodes whose dependency terms are unequal fractions, so the
+    order of the terms within such a level shows in the sums."""
+    edges = [(hub, 2 + i) for hub in (0, 1) for i in range(300)]
+    edges += [(302 + j, 2 + rng.randrange(300))
+              for j in range(40) for _ in range(rng.randrange(1, 4))]
+    return from_edges(342, edges)
+
+
 def random_disconnected_graph(rng):
     """Two random blocks with no edge between them, plus isolated nodes."""
     sizes = [rng.randrange(2, 15), rng.randrange(2, 15)]
@@ -404,8 +423,16 @@ def assert_bc_equals_reference(g):
         star_graph(7),
         complete_graph(6),
         generate_barabasi_albert(300, 3, 5),
+        # levels of more than 256 nodes: the backward pass sorts uint16 keys
+        star_graph(300),
+        complete_bipartite_graph(2, 300),
+        hubs_with_tails(random.Random(0)),
+        # heavy ties and large path counts
+        grid_graph(12, 12),
+        # a long diameter: one node per level
+        path_graph(130),
     ],
-    ids=["n3", "C6", "K3,4", "star", "K6", "BA300"],
+    ids=["n3", "C6", "K3,4", "star", "K6", "BA300", "star300", "K2,300", "K2,300+tails", "grid12", "P130"],
 )
 def test_bc_bitwise_equals_reference(g):
     assert_bc_equals_reference(g)

@@ -299,6 +299,30 @@ def test_bad_precision_fails_before_any_work(
     assert not (tmp_path / "o").exists()  # rejected before outputs were touched
 
 
+def test_precision_beyond_int64_is_a_clean_error(tmp_path, capsys):
+    # GC on this graph peaks near 37613.9, which does not fit int64 at 10^15
+    code = run(
+        [
+            "centrality",
+            "--generate",
+            "ba:1000:10:42",
+            "--measures",
+            "lsc",
+            "--measure-order",
+            "gc,dc",
+            "--precision",
+            "15",
+            "--out",
+            str(tmp_path / "o"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: GC score 37613.8")
+    assert "precision 15" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):
     code = run(["stats", "--graph", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert code == 2

@@ -1,6 +1,10 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +101,15 @@ def test_fetch_skips_existing_file(tmp_path, monkeypatch):
 def test_dataset_path_bundled_vs_fetched(tmp_path):
     assert dataset_path("karate").name == "karate.txt"
     assert dataset_path("cs-phd", tmp_path) == tmp_path / "cs-phd.txt"
+
+
+def test_importing_the_cli_does_not_import_urllib_request():
+    # only a download needs urllib.request, and every command would pay for it
+    src = Path(datasets.__file__).resolve().parents[1]
+    code = "import sys, lexcent.cli; print('urllib.request' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -11,7 +11,6 @@ from lexcent.graph import (
     EdgeListParseError,
     UNREACHABLE,
     _bfs_blocks,
-    _frontier_neighbors,
     _source_bits,
     connected_components,
     dataset_stats,
@@ -327,6 +326,16 @@ def test_components_isolated_nodes():
     assert sizes == [2, 1]
 
 
+def frontier_neighbors(g, frontier):
+    """The CSR rows of every frontier node, concatenated in frontier order,
+    gathered in one indexing step: entry k lies in the row of node v at
+    indptr[v] + (k - offset of v's row in the output).
+    """
+    starts = g.indptr[frontier]
+    lens = g.indptr[frontier + 1] - starts
+    return g.indices[np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)]
+
+
 def reference_components(g):
     """Connected components by one level-synchronous BFS per unlabelled
     start node, in node order (the oracle for the hooking kernel)."""
@@ -341,7 +350,7 @@ def reference_components(g):
         frontier = np.array([start], dtype=np.int32)
         count = 1
         while frontier.size:
-            nbrs = _frontier_neighbors(g, frontier)
+            nbrs = frontier_neighbors(g, frontier)
             nbrs = nbrs[labels[nbrs] == -1]
             if nbrs.size == 0:
                 break

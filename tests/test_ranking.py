@@ -105,6 +105,14 @@ def test_matrix_validation():
         build_ranking_matrix(good, 5, rounding="floor")
 
 
+def test_matrix_rejects_scores_beyond_int64_at_the_precision():
+    # 37613.9 x 10^15 does not fit int64; 9.2 x 10^15 does
+    vecs = vectors_from_columns([0.5, 1.0], [2.0, 37613.9])
+    with pytest.raises(ValueError, match=r"EC score 37613\.9 at precision 15"):
+        build_ranking_matrix(vecs, 15)
+    assert build_ranking_matrix(vectors_from_columns([9.2]), 15).scaled[0, 0] == 92 * 10**14
+
+
 # ---------------------------------------------------------------------------
 # sort semantics
 
