@@ -30,7 +30,6 @@ from .graph import (
     DatasetStats,
     EdgeListParseError,
     Graph,
-    UNREACHABLE,
     connected_components,
     dataset_stats,
     from_edges,
@@ -70,7 +69,6 @@ __all__ = [
     "RankingMatrix",
     "SirParams",
     "SirResult",
-    "UNREACHABLE",
     "benchmark_runtime",
     "betweenness_centrality",
     "build_ranking_matrix",

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _bfs_blocks, _source_bits, k_shell
-from .sir import _is_int
+from .graph import Graph, _bfs_blocks, _is_int, _source_bits, k_shell
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
 

@@ -2,12 +2,12 @@
 
 Subcommands: centrality, sir, evaluate, bench, fetch, stats. Every run
 resolves its settings into a RunConfig (defaults < --config file < explicit
-flags), validates them up front, writes the resolved config next to the
-outputs as run_config.json, and emits deterministic CSV/JSON: identical
-configs (including rng_seed) produce byte-identical files. --threads is
-accepted and recorded in run_config.json but has no effect: every command
-runs in one thread. Errors exit nonzero with a single 'error: ...' line on
-stderr.
+flags), validates them up front, and once every result is computed writes
+the resolved config next to the outputs as run_config.json and emits
+deterministic CSV/JSON: identical configs (including rng_seed) produce
+byte-identical files. --threads is accepted and recorded in run_config.json
+but has no effect: every command runs in one thread. Errors exit nonzero
+with a single 'error: ...' line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .evaluation import (
     rank_vs_score_series,
     top_x_size,
 )
-from .graph import Graph, dataset_stats, generate_barabasi_albert, load_edge_list
+from .graph import Graph, _is_int, dataset_stats, generate_barabasi_albert, load_edge_list
 from .ranking import (
     DEFAULT_MEASURE_ORDER,
     DEFAULT_PRECISION,
@@ -44,7 +44,6 @@ from .ranking import (
 from .sir import (
     SirParams,
     _check_seeds,
-    _is_int,
     mean_scores,
     score_all_nodes,
     spread_curve,
@@ -233,8 +232,6 @@ def _dataset_tag(config: RunConfig) -> str:
 
 def cmd_centrality(config: RunConfig) -> None:
     g = _load_graph(config)
-    out = _outdir(config)
-    _write_labels(g, out)
     tags = [m.upper() for m in config.measures if m != "lsc"]
     if "lsc" in config.measures:
         tags += config.measure_order
@@ -242,14 +239,17 @@ def cmd_centrality(config: RunConfig) -> None:
         tag: compute_centrality(g, tag, **config.measure_settings())
         for tag in dict.fromkeys(tags)
     }
+    if "lsc" in config.measures:
+        rm = build_ranking_matrix(
+            [vectors[tag] for tag in config.measure_order],
+            config.precision,
+            config.rounding,
+        )
+        ranking = lexical_sort(rm)
+    out = _outdir(config)
+    _write_labels(g, out)
     for measure in config.measures:
         if measure == "lsc":
-            rm = build_ranking_matrix(
-                [vectors[tag] for tag in config.measure_order],
-                config.precision,
-                config.rounding,
-            )
-            ranking = lexical_sort(rm)
             _write(out / "ranking_lsc.csv", lambda s: write_ranking_csv(ranking, s))
             (out / "ranking_lsc.json").write_text(ranking_to_json(ranking) + "\n")
             _write(out / "ranking_matrix.csv", lambda s: write_ranking_matrix_csv(rm, s))
@@ -272,9 +272,6 @@ def cmd_sir(config: RunConfig) -> None:
             _check_seeds(g, config.seeds)
         elif config.seeds_from.lower() not in ("lsc", *VALUE_MEASURES):
             raise ValueError(f"unknown --seeds-from measure {config.seeds_from!r}")
-    out = _outdir(config)
-    _write_labels(g, out)
-    if curve_mode:
         if config.seeds is not None:
             seeds = list(config.seeds)
             tag = "seeds"
@@ -294,10 +291,14 @@ def cmd_sir(config: RunConfig) -> None:
             seeds = list(ranking.ordered_nodes[: config.top])
             tag = source
         result = spread_curve(g, seeds, params)
+        out = _outdir(config)
+        _write_labels(g, out)
         _write(out / f"sir_curve_{tag}.csv", lambda s: write_curve_csv(result, s))
         print(f"wrote spread curve for seeds {seeds} to {out}")
     else:
-        results = score_all_nodes(g, params, threads=config.threads)
+        results = score_all_nodes(g, params)
+        out = _outdir(config)
+        _write_labels(g, out)
         _write(out / "sir_scores.csv", lambda s: write_scores_csv(results, s))
         print(f"wrote per-node SIR scores for {_dataset_tag(config)} to {out}")
 
@@ -306,34 +307,30 @@ def cmd_evaluate(config: RunConfig) -> None:
     g = _load_graph(config)
     top_x_size(g.node_count, config.x_percent)
     params = _sir_params(config)
-    out = _outdir(config)
-    _write_labels(g, out)
-    results = score_all_nodes(g, params, threads=config.threads)
+    results = score_all_nodes(g, params)
     report = evaluate_dataset(
         g,
         params,
         x_percent=config.x_percent,
         dataset=_dataset_tag(config),
         tau_variant=config.tau_variant,
-        threads=config.threads,
         precision=config.precision,
         measure_order=config.measure_order,
         rounding=config.rounding,
         sir_results=results,
         **config.measure_settings(),
     )
-    (out / "eval_report.json").write_text(report.to_json())
-    _write(out / "eval_report.csv", report.write_csv)
     # rank-vs-score series per measure (plot-ready), plus inversion summary
     truth = mean_scores(results)
+    series = {tag: rank_vs_score_series(report.rankings[tag], truth) for tag in EVAL_MEASURES}
+    out = _outdir(config)
+    _write_labels(g, out)
+    (out / "eval_report.json").write_text(report.to_json())
+    _write(out / "eval_report.csv", report.write_csv)
     _write(out / "sir_scores.csv", lambda s: write_scores_csv(results, s))
-    inversions: dict[str, int] = {}
-    for tag in EVAL_MEASURES:
-        ranking = report.rankings[tag]
-        series, count = rank_vs_score_series(ranking, truth)
-        inversions[tag] = count
+    for tag, (points, _) in series.items():
 
-        def _writer(stream, r=ranking, ser=series):
+        def _writer(stream, r=report.rankings[tag], ser=points):
             stream.write("index,node,score\n")
             for (idx, score), node in zip(ser, r.ordered_nodes):
                 stream.write(f"{idx},{node},{score:.12g}\n")
@@ -343,7 +340,7 @@ def cmd_evaluate(config: RunConfig) -> None:
         out / "inversions.csv",
         lambda s: s.write(
             "measure,adjacent_inversions\n"
-            + "".join(f"{t},{c}\n" for t, c in inversions.items())
+            + "".join(f"{t},{count}\n" for t, (_, count) in series.items())
         ),
     )
     print(f"wrote evaluation report for {_dataset_tag(config)} to {out}")
@@ -351,7 +348,6 @@ def cmd_evaluate(config: RunConfig) -> None:
 
 def cmd_bench(config: RunConfig) -> None:
     g = _load_graph(config)
-    out = _outdir(config)
     result = benchmark_runtime(
         g,
         config.measures,
@@ -361,6 +357,7 @@ def cmd_bench(config: RunConfig) -> None:
         rounding=config.rounding,
         **config.measure_settings(),
     )
+    out = _outdir(config)
 
     def _writer(stream):
         stream.write("measure,mean_seconds,repetitions\n")

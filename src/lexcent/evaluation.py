@@ -296,7 +296,6 @@ def evaluate_dataset(
     x_percent: float = 5.0,
     dataset: str = "",
     tau_variant: str = "a",
-    threads: int = 1,
     precision: int = DEFAULT_PRECISION,
     measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
     rounding: str = ROUND_HALF_EVEN_MODE,
@@ -319,7 +318,7 @@ def evaluate_dataset(
     vectors = {tag: compute_centrality(g, tag, **measure_settings) for tag in MEASURES}
     top_x_size(g.node_count, x_percent)  # reject an empty top-x set before any SIR work
     if sir_results is None:
-        sir_results = score_all_nodes(g, params, threads=threads)
+        sir_results = score_all_nodes(g, params)
     ground_truth = mean_scores(sir_results)
     rankings = {tag: ranking_from_scores(vec.scores, tag) for tag, vec in vectors.items()}
     rm = build_ranking_matrix(

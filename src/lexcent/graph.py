@@ -11,7 +11,9 @@ safe to share across threads.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -19,11 +21,12 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# Distance marker for nodes not reachable from a BFS source. Deliberately
-# not a large finite number so downstream sums cannot silently absorb it.
-UNREACHABLE = -1
-
 COMMENT_PREFIXES = ("#", "%")
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class EdgeListParseError(ValueError):
@@ -65,10 +68,8 @@ class Graph:
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each undirected edge once as (u, v) with u < v, sorted."""
-        for u in range(self.node_count):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+        u, v = _edge_endpoints(self)
+        yield from zip(u.tolist(), v.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -94,35 +95,31 @@ class DatasetStats:
 
 
 def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from (u, v) pairs; self-loops and duplicates are dropped."""
+    """Build a Graph from (u, v) pairs of integer node ids in 0..node_count-1;
+    self-loops and duplicate edges are dropped. Bools and floats are not node
+    ids, and an id out of range is an error even on a self-loop."""
     if node_count < 0:
         raise ValueError("node_count must be non-negative")
-    canon = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            continue
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={node_count}")
-        canon.add((u, v) if u < v else (v, u))
-    deg = np.zeros(node_count, dtype=np.int64)
-    for u, v in canon:
-        deg[u] += 1
-        deg[v] += 1
+    pairs = list(edges)
+    ends = list(itertools.chain.from_iterable(pairs))
+    # _is_int depends only on a value's type, so one value per type decides
+    bad = [v for v in dict(zip(map(type, ends), ends)).values() if not _is_int(v)]
+    if bad:
+        raise ValueError(f"node ids must be integers, got {bad[0]!r}")
+    arr = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    outside = ((arr < 0) | (arr >= node_count)).any(axis=1)
+    if outside.any():
+        u, v = arr[outside.argmax()].tolist()
+        raise ValueError(f"edge ({u}, {v}) out of range for n={node_count}")
+    u, v = arr[arr[:, 0] != arr[:, 1]].T
+    # one key src * n + dst per adjacency entry, both directions of each edge;
+    # the sorted distinct keys are the CSR entries in row order, and each
+    # row's neighbors ascending
+    keys = np.unique(np.concatenate((u * node_count + v, v * node_count + u)))
+    src, dst = np.divmod(keys, node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    cursor = indptr[:-1].copy()
-    for u, v in sorted(canon):
-        indices[cursor[u]] = v
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        cursor[v] += 1
-    # rows are filled in sorted edge order, so each neighbor run is sorted for
-    # the first endpoint but not necessarily for the second; sort every run
-    for i in range(node_count):
-        indices[indptr[i] : indptr[i + 1]].sort()
-    return Graph(node_count, indptr, indices, len(canon))
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return Graph(node_count, indptr, dst.astype(np.int32), keys.size // 2)
 
 
 def load_edge_list(source: str | IO[str], relabel: bool = False) -> Graph:
@@ -179,16 +176,15 @@ def load_edge_list(source: str | IO[str], relabel: bool = False) -> Graph:
             raise ValueError("negative node ids are not allowed without relabel")
         n = max(max(u, v) for u, v in edges) + 1
 
-    self_loops = sum(1 for u, v in edges if u == v)
-    canon = {(min(u, v), max(u, v)) for u, v in edges if u != v}
-    duplicates = len(edges) - self_loops - len(canon)
+    g = from_edges(n, edges)
+    self_loops = sum(u == v for u, v in edges)
+    duplicates = len(edges) - self_loops - g.edge_count
     if self_loops or duplicates:
         log.warning(
             "dropped %d self-loop(s) and %d duplicate edge(s) while loading",
             self_loops,
             duplicates,
         )
-    g = from_edges(n, canon)
     if labels is not None:
         g = dataclasses.replace(g, labels=labels)
     return g

@@ -29,11 +29,10 @@ DEFAULT_PRECISION = 5
 
 @dataclass(frozen=True)
 class RankingMatrix:
-    """node_ids[i] paired with values[i], a tuple of rounded centrality
-    values in measure_order; scaled[i] are the same values as exact integers
-    at 10^precision."""
+    """values[i] is node i's tuple of rounded centrality values in
+    measure_order; scaled[i] are the same values as exact integers at
+    10^precision."""
 
-    node_ids: tuple[int, ...]
     values: np.ndarray
     scaled: np.ndarray
     measure_order: tuple[str, ...]
@@ -97,7 +96,6 @@ def build_ranking_matrix(
             ) from None
     values = scaled.astype(np.float64) / 10.0**precision
     return RankingMatrix(
-        node_ids=tuple(range(n)),
         values=values,
         scaled=scaled,
         measure_order=tuple(vec.measure for vec in vectors),
@@ -115,9 +113,8 @@ def lexical_sort(rm: RankingMatrix) -> NodeRanking:
     # reversed and negated (descending)
     keys = tuple(-rm.scaled[:, col] for col in reversed(range(rm.scaled.shape[1])))
     order = np.lexsort(keys)
-    ordered = tuple(rm.node_ids[i] for i in order)
     return NodeRanking(
-        ordered_nodes=ordered,
+        ordered_nodes=tuple(order.tolist()),
         source="LSC",
         params={
             "measure_order": list(rm.measure_order),
@@ -180,6 +177,6 @@ def ranking_to_json(ranking: NodeRanking) -> str:
 def write_ranking_matrix_csv(rm: RankingMatrix, stream: IO[str]) -> None:
     """Audit dump: node plus one column per measure, rounded values."""
     stream.write("node," + ",".join(rm.measure_order) + "\n")
-    for i, node in enumerate(rm.node_ids):
-        row = ",".join(f"{v:.{rm.precision}f}" for v in rm.values[i])
+    for node, values in enumerate(rm.values):
+        row = ",".join(f"{v:.{rm.precision}f}" for v in values)
         stream.write(f"{node},{row}\n")

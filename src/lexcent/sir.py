@@ -38,20 +38,14 @@ as the oracle reference_spread.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _edge_endpoints, _min_labels
+from .graph import Graph, _edge_endpoints, _is_int, _min_labels
 
 SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers; False for bools, floats and the rest."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -152,17 +146,14 @@ def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult
     return _summary(finals, curve=np.array(curve, dtype=np.float64) / params.replications)
 
 
-def score_all_nodes(
-    g: Graph, params: SirParams, threads: int = 1
-) -> list[SirResult]:
+def score_all_nodes(g: Graph, params: SirParams) -> list[SirResult]:
     """Spreading scores for every node, in node order; each has the same
     distribution as spreading_score's.
 
     At gamma = 1 without max_steps, replication r is one bond-percolation
     sample shared by all nodes (see the module docstring). Otherwise every
     node gets exactly spreading_score's result, with the replications of
-    several nodes simulated together. ``threads`` has no effect; it is kept
-    so that existing callers and configs stay valid.
+    several nodes simulated together.
     """
     if params.gamma == 1.0 and params.max_steps is None:
         return _percolation_scores(g, params)

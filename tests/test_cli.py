@@ -321,6 +321,7 @@ def test_precision_beyond_int64_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error: GC score 37613.8")
     assert "precision 15" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):

@@ -217,8 +217,8 @@ def test_evaluate_star_every_measure_finds_center():
 def test_evaluate_is_deterministic_and_thread_invariant():
     g = random_graph(10, 0.35, random.Random(11))
     params = SirParams(beta=0.15, gamma=1.0, replications=60, rng_seed=21)
-    a = evaluate_dataset(g, params, x_percent=20, dataset="g", threads=1)
-    b = evaluate_dataset(g, params, x_percent=20, dataset="g", threads=4)
+    a = evaluate_dataset(g, params, x_percent=20, dataset="g")
+    b = evaluate_dataset(g, params, x_percent=20, dataset="g")
     assert a.to_json() == b.to_json()
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lexcent.graph import (
     EdgeListParseError,
-    UNREACHABLE,
+    Graph,
     _bfs_blocks,
     _source_bits,
     connected_components,
@@ -20,6 +20,10 @@ from lexcent.graph import (
     load_edge_list,
     save_edge_list,
 )
+
+# Distance marker for nodes not reachable from a BFS source. Deliberately
+# not a large finite number so downstream sums cannot silently absorb it.
+UNREACHABLE = -1
 
 
 def path_graph(n):
@@ -37,6 +41,105 @@ def complete_graph(n):
 def random_graph(n, p, rng):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# CSR construction
+
+
+def reference_from_edges(node_count, edges):
+    """One Python set of canonical (min, max) pairs, then each row filled in
+    sorted edge order and sorted again (the oracle for from_edges)."""
+    if node_count < 0:
+        raise ValueError("node_count must be non-negative")
+    canon = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            continue
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={node_count}")
+        canon.add((u, v) if u < v else (v, u))
+    deg = np.zeros(node_count, dtype=np.int64)
+    for u, v in canon:
+        deg[u] += 1
+        deg[v] += 1
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    cursor = indptr[:-1].copy()
+    for u, v in sorted(canon):
+        indices[cursor[u]] = v
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        cursor[v] += 1
+    # rows are filled in sorted edge order, so each neighbor run is sorted for
+    # the first endpoint but not necessarily for the second; sort every run
+    for i in range(node_count):
+        indices[indptr[i] : indptr[i + 1]].sort()
+    return Graph(node_count, indptr, indices, len(canon))
+
+
+def nested_loop_edges(g):
+    return [(u, int(v)) for u in range(g.node_count) for v in g.neighbors(u) if u < v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+                max_size=3 * n,
+            )
+            if n
+            else st.just([]),
+        )
+    )
+)
+@example((0, []))
+@example((1, []))
+@example((1, [(0, 0, True)]))
+@example((2, []))
+@example((2, [(1, 0, True), (1, 1, False)]))
+@example((5, []))
+def test_from_edges_matches_reference(case):
+    # each drawn pair may be repeated reversed, so the list holds duplicates
+    # in both orientations; u == v draws are self-loops, and nodes no pair
+    # names are isolated
+    n, draws = case
+    pairs = [(u, v) for u, v, _ in draws] + [(v, u) for u, v, twice in draws if twice]
+    g = from_edges(n, pairs)
+    expected = reference_from_edges(n, pairs)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert np.array_equal(g.indptr, expected.indptr)
+    assert np.array_equal(g.indices, expected.indices)
+    assert g.edge_count == expected.edge_count
+    assert list(g.edges()) == nested_loop_edges(g)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(5, 5), (0, 1)], "out of range"),
+        ([(-1, -1)], "out of range"),
+        ([(0.7, 1.9)], "integers"),
+        ([(0, np.float64(1.0))], "integers"),
+        ([(True, 2)], "integers"),
+        ([(0, np.bool_(True))], "integers"),
+    ],
+    ids=["self-loop-out-of-range", "negative-self-loop", "floats", "numpy-float",
+         "bool", "numpy-bool"],
+)
+def test_from_edges_rejects_bad_endpoints(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        from_edges(3, pairs)
+
+
+def test_from_edges_accepts_numpy_integers_and_generators():
+    g = from_edges(3, ((np.int32(u), np.int64(u + 1)) for u in range(2)))
+    assert list(g.edges()) == [(0, 1), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
