@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _bfs_blocks, _is_int, _source_bits, k_shell
+from .graph import Graph, _bfs_blocks, _is_int, _source_bits, connected_components, k_shell
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
 
@@ -125,26 +126,38 @@ def closeness_centrality(
     all-sources BFS, so each score is the same double as a per-source BFS
     gives.
     """
+    _check_closeness(g, convention)
+    scores = _closeness_at(g, np.arange(g.node_count), convention)
+    return CentralityVector("CC", scores, {"convention": convention})
+
+
+def _check_closeness(g: Graph, convention: str) -> None:
     if convention not in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
         raise ValueError(f"unknown closeness convention {convention!r}")
-    n = g.node_count
-    if n < 2:
+    if g.node_count < 2:
         raise ValueError("closeness centrality requires at least 2 nodes")
+
+
+def _closeness_at(g: Graph, sources: np.ndarray, convention: str) -> np.ndarray:
+    """Closeness of each of ``sources`` (distinct node ids), in that order;
+    a source's score does not depend on which other sources are asked for."""
+    n = g.node_count
     total = np.zeros(n, dtype=np.int64)
     reached = np.zeros(n, dtype=np.int64)
-    for sources, levels in _bfs_blocks(g):
+    for block, levels in _bfs_blocks(g, sources=sources):
         for depth, _, bits in levels:
-            count = _source_bits(bits).sum(axis=0, dtype=np.int64)[: sources.size]
-            total[sources] += depth * count
-            reached[sources] += count
-    scores = np.zeros(n)
+            count = _source_bits(bits).sum(axis=0, dtype=np.int64)[: block.size]
+            total[block] += depth * count
+            reached[block] += count
+    total, reached = total[sources], reached[sources]
+    scores = np.zeros(len(sources))
     some = total > 0
     if convention == CC_PAPER_LITERAL:
         scores[some] = n / total[some]
     else:
         r1 = reached[some]
         scores[some] = (r1 / total[some]) * (r1 / (n - 1))
-    return CentralityVector("CC", scores, {"convention": convention})
+    return scores
 
 
 def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
@@ -162,7 +175,8 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
     the levels from the deepest and adds each dependency term in reverse
     queue order of the child, so every score is the same double as the
     queue-and-stack formulation gives. Work per level grows with the
-    level's adjacency entries, never with n.
+    level's adjacency entries, never with n. A source stops once it has
+    reached its whole component, so no level gathers only to find nothing.
     """
     n = g.node_count
     if normalized and n < 3:
@@ -175,13 +189,16 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
     # position within its level
     slot = np.zeros(n, dtype=np.int64)
     bc = np.zeros(n)
+    labels, sizes = connected_components(g)
+    component_size = np.asarray(sizes)[labels].tolist()
     for s in range(n):
         seen[s] = True
         frontier = np.array([s], dtype=np.int64)
         levels = [frontier]
         sigmas = [np.ones(1)]
         dag: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, child) positions
-        while True:
+        reached = 1
+        while reached < component_size[s]:
             # the frontier's CSR rows in frontier order: entry k of a row
             # that starts at output offset o is indices[indptr[v] + k - o]
             lens = degrees.take(frontier)
@@ -190,8 +207,6 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
             nbrs = indices.take(np.arange(ends[-1]) + shift)
             fresh = np.logical_not(seen.take(nbrs))
             child = nbrs.compress(fresh)
-            if child.size == 0:
-                break
             parent = np.repeat(np.arange(frontier.size), lens).compress(fresh)
             entry = np.arange(child.size)
             slot[child] = child.size
@@ -200,6 +215,7 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
             slot[frontier] = np.arange(frontier.size)
             child = slot.take(child)
             seen[frontier] = True
+            reached += frontier.size
             sigmas.append(
                 np.bincount(child, weights=sigmas[-1].take(parent), minlength=frontier.size)
             )
@@ -245,24 +261,35 @@ def gravity_centrality(
     0.0 for out-of-radius nodes is exact), so scores are bitwise those of a
     per-source loop.
     """
+    _check_gravity(radius)
+    scores = _gravity_at(g, np.arange(g.node_count), radius, exponent)
+    return CentralityVector("GC", scores, {"radius": radius, "exponent": exponent})
+
+
+def _check_gravity(radius: int) -> None:
     if not _is_int(radius) or radius < 1:
         raise ValueError("radius must be an integer >= 1")
+
+
+def _gravity_at(g: Graph, sources: np.ndarray, radius: int, exponent: int) -> np.ndarray:
+    """Gravity of each of ``sources`` (distinct node ids), in that order;
+    a source's score does not depend on which other sources are asked for."""
     n = g.node_count
     shell_values, shell_of = np.unique(k_shell(g), return_inverse=True)
     ks: list[int] = shell_values.tolist()
     # terms[d - 1][a, b]: the term of shells ks[a], ks[b] at distance d
     terms: list[np.ndarray] = []
     scores = np.zeros(n)
-    for sources, levels in _bfs_blocks(g, max_depth=radius):
-        block = np.zeros((sources.size, n))
+    for block, levels in _bfs_blocks(g, max_depth=radius, sources=sources):
+        rows = np.zeros((block.size, n))
         for depth, nodes, bits in levels:
             if depth > len(terms):
                 terms.append(np.array([[a * b / depth**exponent for b in ks] for a in ks]))
-            hit = _source_bits(bits).T[: sources.size]
-            term = terms[depth - 1][shell_of[sources]][:, shell_of[nodes]]
-            block[:, nodes] += np.where(hit, term, 0.0)
-        scores[sources] = np.cumsum(block, axis=1)[:, -1]
-    return CentralityVector("GC", scores, {"radius": radius, "exponent": exponent})
+            hit = _source_bits(bits).T[: block.size]
+            term = terms[depth - 1][shell_of[block]][:, shell_of[nodes]]
+            rows[:, nodes] += np.where(hit, term, 0.0)
+        scores[block] = np.cumsum(rows, axis=1)[:, -1]
+    return scores[sources]
 
 
 def compute_centrality(
@@ -289,6 +316,48 @@ def compute_centrality(
     if tag == "GC":
         return gravity_centrality(g, radius=gc_radius, exponent=gc_exponent)
     raise ValueError(f"unknown measure {measure!r}")
+
+
+def _scores_reader(
+    g: Graph,
+    measure: str,
+    *,
+    cc_convention: str = CC_COMPONENT_SCALED,
+    ec_tol: float = 1e-8,
+    ec_max_iter: int = 1000,
+    bc_normalized: bool = True,
+    gc_radius: int = 3,
+    gc_exponent: int = 2,
+) -> tuple[str, Callable[[np.ndarray], tuple[np.ndarray, dict]]]:
+    """Check a measure's tag and settings, and return (tag, read) where
+    read(nodes) gives the measure's scores at ``nodes`` (distinct node ids),
+    in that order, and its params, as compute_centrality would.
+
+    Nothing is computed until read is called. DC indexes the degrees, CC and
+    GC search from ``nodes`` only, and EC and BC are computed in full; every
+    score is bitwise the full vector's.
+    """
+    tag = measure.upper()
+    if tag == "DC":
+        return tag, lambda nodes: (g.degrees()[nodes] / (g.node_count - 1), {})
+    if tag == "CC":
+        _check_closeness(g, cc_convention)
+        params = {"convention": cc_convention}
+        return tag, lambda nodes: (_closeness_at(g, nodes, cc_convention), params)
+    if tag == "GC":
+        _check_gravity(gc_radius)
+        params = {"radius": gc_radius, "exponent": gc_exponent}
+        return tag, lambda nodes: (_gravity_at(g, nodes, gc_radius, gc_exponent), params)
+    if tag not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+
+    def read(nodes: np.ndarray) -> tuple[np.ndarray, dict]:
+        vec = compute_centrality(
+            g, tag, ec_tol=ec_tol, ec_max_iter=ec_max_iter, bc_normalized=bc_normalized
+        )
+        return vec.scores[nodes], vec.params
+
+    return tag, read
 
 
 def write_centrality_csv(vectors: list[CentralityVector], stream) -> None:

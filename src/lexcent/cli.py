@@ -283,6 +283,7 @@ def cmd_sir(config: RunConfig) -> None:
                     precision=config.precision,
                     measure_order=config.measure_order,
                     rounding=config.rounding,
+                    top=config.top,
                     **config.measure_settings(),
                 )
             else:

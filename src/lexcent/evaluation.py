@@ -207,8 +207,9 @@ def benchmark_runtime(
     """Mean wall-clock seconds per measure over ``repetitions`` runs.
 
     Runs strictly serially; one untimed warmup run per measure is discarded
-    first. LSC timings include its component measure computations, the
-    rounding step, and the sort.
+    first. LSC timings include the measures the sort reads (a later measure
+    only for the nodes the earlier ones leave tied), the rounding of the
+    values it reads, and the sort.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

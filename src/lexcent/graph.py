@@ -101,6 +101,15 @@ def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if node_count < 0:
         raise ValueError("node_count must be non-negative")
     pairs = list(edges)
+    try:
+        well_formed = set(map(len, pairs)) <= {2}
+    except TypeError:
+        well_formed = False
+    if not well_formed:
+        index, pair = next(
+            (i, p) for i, p in enumerate(pairs) if not (hasattr(p, "__len__") and len(p) == 2)
+        )
+        raise ValueError(f"edge {index} is {pair!r}, not a pair of node ids")
     ends = list(itertools.chain.from_iterable(pairs))
     # _is_int depends only on a value's type, so one value per type decides
     bad = [v for v in dict(zip(map(type, ends), ends)).values() if not _is_int(v)]
@@ -229,20 +238,22 @@ def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:
     return from_edges(n, edges)
 
 
-def _bfs_blocks(g: Graph, max_depth: int | None = None):
-    """Breadth-first search from every node, 64 sources at a time.
+def _bfs_blocks(g: Graph, max_depth: int | None = None, sources: np.ndarray | None = None):
+    """Breadth-first search from each of ``sources`` (distinct node ids,
+    every node by default), 64 sources at a time.
 
-    Yields (sources, levels) per block of consecutive source ids; only the
-    last block can hold fewer than 64. Source sources[j] owns bit j of one
-    uint64 word per node, so one level expands all 64 searches at once: each
-    node ORs the frontier words of its CSR row (one reduceat over the
-    adjacency), and the bits it had not seen yet are its new frontier bits.
-    ``levels`` yields (depth, nodes, bits) for depth = 1, 2, ... while some
-    source still reaches a new node, and stops after ``max_depth`` levels
-    when one is given: ``nodes`` are ascending ids, and bit j of bits[k] is
-    set iff nodes[k] lies at distance ``depth`` from sources[j]. Unreachable
-    nodes appear in no level. Memory is O(n) words per block; consume each
-    block's levels before advancing to the next block.
+    Yields (block, levels) per block of 64 consecutive entries of
+    ``sources``; only the last block can hold fewer. Source block[j] owns
+    bit j of one uint64 word per node, so one level expands all 64 searches
+    at once: each node ORs the frontier words of its CSR row (one reduceat
+    over the adjacency), and the bits it had not seen yet are its new
+    frontier bits. ``levels`` yields (depth, nodes, bits) for depth = 1, 2,
+    ... while some source still reaches a new node, and stops after
+    ``max_depth`` levels when one is given: ``nodes`` are ascending ids, and
+    bit j of bits[k] is set iff nodes[k] lies at distance ``depth`` from
+    block[j]. Unreachable nodes appear in no level. A source's levels do not
+    depend on which other sources share its block. Memory is O(n) words per
+    block; consume each block's levels before advancing to the next block.
     """
     n = g.node_count
     # reduceat over an empty row would return the next row's first entry (or
@@ -250,9 +261,9 @@ def _bfs_blocks(g: Graph, max_depth: int | None = None):
     has = g.indptr[1:] > g.indptr[:-1]
     starts = g.indptr[:-1][has]
 
-    def levels(sources: np.ndarray):
+    def levels(block: np.ndarray):
         seen = np.zeros(n, dtype=np.uint64)
-        seen[sources] = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
+        seen[block] = np.left_shift(np.uint64(1), np.arange(block.size, dtype=np.uint64))
         front, nxt = seen, np.zeros(n, dtype=np.uint64)
         depth = 0
         while max_depth is None or depth < max_depth:
@@ -265,9 +276,11 @@ def _bfs_blocks(g: Graph, max_depth: int | None = None):
             seen |= front
             yield depth, nodes, front.take(nodes)
 
-    for first in range(0, n, 64):
-        sources = np.arange(first, min(first + 64, n))
-        yield sources, levels(sources)
+    if sources is None:
+        sources = np.arange(n)
+    for first in range(0, len(sources), 64):
+        block = sources[first : first + 64]
+        yield block, levels(block)
 
 
 def _source_bits(words: np.ndarray) -> np.ndarray:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .centrality import CentralityVector, compute_centrality
-from .graph import Graph
+from .centrality import CentralityVector, _scores_reader
+from .graph import Graph, _is_int
 
 ROUND_HALF_EVEN_MODE = "half_even"
 ROUND_TRUNCATE_MODE = "truncate"
@@ -57,6 +57,30 @@ def _scaled_int(value: float, precision: int, rounding: str) -> int:
     return int(Decimal(repr(float(value))).scaleb(precision).to_integral_value(mode))
 
 
+def _check_rounding(precision: int, rounding: str) -> None:
+    if rounding not in ROUNDING_MODES:
+        raise ValueError(f"unknown rounding mode {rounding!r}")
+    if not 0 <= precision <= 15:
+        raise ValueError("precision must be between 0 and 15 decimal places")
+
+
+def _scaled_column(scores, measure: str, precision: int, rounding: str) -> np.ndarray:
+    """Each score as the exact int64 of its rounded value times
+    10^precision; a scaled value beyond int64 is a ValueError naming the
+    measure."""
+    column = [_scaled_int(v, precision, rounding) for v in scores]
+    try:
+        return np.array(column, dtype=np.int64)
+    except OverflowError:
+        worst = max(column, key=abs)
+        value = float(scores[column.index(worst)])
+        raise ValueError(
+            f"{measure} score {value!r} at precision {precision} scales to "
+            f"{worst}, outside the int64 range of the ranking matrix; use a lower "
+            "precision"
+        ) from None
+
+
 def build_ranking_matrix(
     vectors: Sequence[CentralityVector],
     precision: int = DEFAULT_PRECISION,
@@ -71,10 +95,7 @@ def build_ranking_matrix(
     """
     if not vectors:
         raise ValueError("at least one centrality vector is required")
-    if rounding not in ROUNDING_MODES:
-        raise ValueError(f"unknown rounding mode {rounding!r}")
-    if not 0 <= precision <= 15:
-        raise ValueError("precision must be between 0 and 15 decimal places")
+    _check_rounding(precision, rounding)
     n = len(vectors[0].scores)
     for vec in vectors:
         if len(vec.scores) != n:
@@ -83,17 +104,7 @@ def build_ranking_matrix(
             )
     scaled = np.empty((n, len(vectors)), dtype=np.int64)
     for col, vec in enumerate(vectors):
-        column = [_scaled_int(v, precision, rounding) for v in vec.scores]
-        try:
-            scaled[:, col] = column
-        except OverflowError:
-            worst = max(column, key=abs)
-            value = float(vec.scores[column.index(worst)])
-            raise ValueError(
-                f"{vec.measure} score {value!r} at precision {precision} scales to "
-                f"{worst}, outside the int64 range of the ranking matrix; use a lower "
-                "precision"
-            ) from None
+        scaled[:, col] = _scaled_column(vec.scores, vec.measure, precision, rounding)
     values = scaled.astype(np.float64) / 10.0**precision
     return RankingMatrix(
         values=values,
@@ -104,15 +115,51 @@ def build_ranking_matrix(
     )
 
 
+def _tie_order(
+    n: int, columns: Sequence[Callable[[np.ndarray], np.ndarray]], top: int | None = None
+) -> np.ndarray:
+    """The first ``top`` (default all n) nodes in descending lexicographic
+    order of their scaled rows, where columns[c](nodes) gives column c's
+    int64 values at ``nodes``; nodes with identical rows keep ascending id
+    order.
+
+    Nodes are refined one column at a time, as in alphabetical order: a
+    column is read only for the members of groups that the columns before it
+    leave tied (size > 1) and that start before position ``top``. A group
+    that straddles ``top`` is refined in full, and within a group nodes
+    order by descending value, stably.
+    """
+    limit = n if top is None else min(top, n)
+    order = np.arange(n)
+    # starts[p]: position p begins a group of nodes tied on every column read
+    # so far; starts[n] closes the last group
+    starts = np.zeros(n + 1, dtype=bool)
+    starts[[0, n]] = True
+    for column in columns:
+        first = np.flatnonzero(starts)
+        sizes = np.diff(first)
+        live = (sizes > 1) & (first[:-1] < limit)
+        if not live.any():
+            break
+        pos = np.flatnonzero(np.repeat(live, sizes))
+        group = np.repeat(first[:-1], sizes)[pos]
+        nodes = order[pos]
+        values = column(nodes)
+        # ~v orders int64 descending without negation's overflow at the minimum
+        perm = np.lexsort((~values, group))
+        order[pos] = nodes[perm]
+        values = values[perm]
+        starts[pos[1:][values[1:] != values[:-1]]] = True
+    return order[:limit]
+
+
 def lexical_sort(rm: RankingMatrix) -> NodeRanking:
     """Order rows by descending lexicographic comparison of their value
     tuples: the first measure dominates, ties fall through to the next, and
     rows with fully identical tuples keep their input order.
     """
-    # np.lexsort is stable and sorts by its LAST key first, so feed columns
-    # reversed and negated (descending)
-    keys = tuple(-rm.scaled[:, col] for col in reversed(range(rm.scaled.shape[1])))
-    order = np.lexsort(keys)
+    columns = [lambda nodes, c=c: rm.scaled[nodes, c] for c in range(rm.scaled.shape[1])]
+    order = _tie_order(rm.scaled.shape[0], columns)
     return NodeRanking(
         ordered_nodes=tuple(order.tolist()),
         source="LSC",
@@ -129,24 +176,52 @@ def lsc(
     precision: int = DEFAULT_PRECISION,
     measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
     rounding: str = ROUND_HALF_EVEN_MODE,
+    top: int | None = None,
     **measure_settings,
 ) -> NodeRanking:
-    """Full lexical-sorting-centrality ranking of a graph.
+    """Lexical-sorting-centrality ranking of a graph: its first ``top``
+    nodes (every node by default), the same as the first ``top`` of
+    lexical_sort over the full ranking matrix.
 
-    Computes each measure in ``measure_order`` (DC, EC, CC by default),
-    rounds to ``precision`` decimal places, and lexically sorts. Extra
-    keyword settings are passed through to the measure implementations
-    (cc_convention, ec_tol, ec_max_iter, gc_radius, gc_exponent, ...).
+    Measures come in ``measure_order`` (DC, EC, CC by default) and are
+    rounded to ``precision`` decimal places. The first measure is read for
+    every node; each later one only for the nodes that the earlier ones
+    leave tied in groups starting before position ``top``, so a measure no
+    tie reaches is never computed. DC indexes the degrees, CC and GC search
+    from the tied nodes only, and EC and BC are computed in full when read.
+    Errors are raised for the values the sort reads: measure errors (EC on
+    an edgeless graph, say) and the int64 overflow ValueError. Values it
+    never reads are neither computed nor rounded (build_ranking_matrix, in
+    contrast, rounds every value it is given). params["measures"] holds the
+    params of the measures read. Extra keyword settings are passed
+    through to the measure implementations (cc_convention, ec_tol,
+    ec_max_iter, gc_radius, gc_exponent, ...).
     """
     if g.node_count < 2:
         raise ValueError("lsc requires at least 2 nodes")
-    vectors = [compute_centrality(g, tag, **measure_settings) for tag in measure_order]
-    rm = build_ranking_matrix(vectors, precision=precision, rounding=rounding)
-    ranking = lexical_sort(rm)
-    sub_params = {vec.measure: dict(vec.params) for vec in vectors}
-    params = dict(ranking.params)
-    params["measures"] = sub_params
-    return NodeRanking(ranking.ordered_nodes, "LSC", params)
+    if not measure_order:
+        raise ValueError("at least one centrality measure is required")
+    if top is not None and (not _is_int(top) or top < 1):
+        raise ValueError("top must be an integer >= 1")
+    _check_rounding(precision, rounding)
+    sub_params: dict[str, dict] = {}
+
+    def column(tag: str, read) -> Callable[[np.ndarray], np.ndarray]:
+        def scaled(nodes: np.ndarray) -> np.ndarray:
+            scores, sub_params[tag] = read(nodes)
+            return _scaled_column(scores, tag, precision, rounding)
+
+        return scaled
+
+    readers = [_scores_reader(g, tag, **measure_settings) for tag in measure_order]
+    order = _tie_order(g.node_count, [column(*reader) for reader in readers], top)
+    params = {
+        "measure_order": [tag for tag, _ in readers],
+        "precision": precision,
+        "rounding": rounding,
+        "measures": sub_params,
+    }
+    return NodeRanking(tuple(order.tolist()), "LSC", params)
 
 
 def ranking_from_scores(scores: Sequence[float], source: str) -> NodeRanking:

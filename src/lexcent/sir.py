@@ -188,7 +188,7 @@ def _summary(
 
 # Elements one simulation step may touch per block: a step gathers at most
 # 2m contacts per run and the state array holds n bytes per run.
-_STEP_ELEMENTS = 1 << 19
+_STEP_ELEMENTS = 1 << 20
 
 
 def _block_runs(g: Graph) -> int:

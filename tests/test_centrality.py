@@ -17,6 +17,9 @@ from lexcent.centrality import (
     degree_centrality,
     eigenvector_centrality,
     gravity_centrality,
+    _closeness_at,
+    _gravity_at,
+    _scores_reader,
 )
 from lexcent.graph import from_edges, generate_barabasi_albert, k_shell
 
@@ -431,8 +434,15 @@ def assert_bc_equals_reference(g):
         grid_graph(12, 12),
         # a long diameter: one node per level
         path_graph(130),
+        # sources whose component is a single node, and two components of
+        # different sizes: each source stops at its own component's size
+        from_edges(6, [(1, 2), (2, 3)]),
+        from_edges(9, [(0, 4), (4, 8), (8, 0), (1, 3), (3, 5), (5, 7), (7, 2)]),
     ],
-    ids=["n3", "C6", "K3,4", "star", "K6", "BA300", "star300", "K2,300", "K2,300+tails", "grid12", "P130"],
+    ids=[
+        "n3", "C6", "K3,4", "star", "K6", "BA300", "star300", "K2,300", "K2,300+tails",
+        "grid12", "P130", "P3+isolated", "K3+P5",
+    ],
 )
 def test_bc_bitwise_equals_reference(g):
     assert_bc_equals_reference(g)
@@ -584,3 +594,52 @@ def test_all_scores_finite_and_nonnegative():
         scores = compute_centrality(g, measure).scores
         assert np.all(np.isfinite(scores))
         assert np.all(scores >= 0)
+
+
+# ---------------------------------------------------------------------------
+# scores at a subset of nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_edge_sets(), st.randoms(use_true_random=False))
+@example((2, []), random.Random(0))
+@example(_PATH_200, random.Random(1))
+@example((130, [(i, (7 * i) % 127 + 1) for i in range(1, 128)]), random.Random(2))
+def test_cc_and_gc_on_a_source_subset_equal_the_full_vectors(case, rng):
+    g = from_edges(*case)
+    n = g.node_count
+    # a random subset in random order: block membership and block offsets
+    # differ from the full run's, and with n > 64 the subset spans blocks
+    sources = np.array(rng.sample(range(n), rng.randrange(1, n + 1)))
+    for convention in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
+        full = closeness_centrality(g, convention=convention).scores
+        assert np.array_equal(_closeness_at(g, sources, convention), full[sources])
+    for radius, exponent in ((1, 2), (3, 2), (4, -1)):
+        full = gravity_centrality(g, radius=radius, exponent=exponent).scores
+        assert np.array_equal(_gravity_at(g, sources, radius, exponent), full[sources])
+
+
+@pytest.mark.parametrize("measure", ["DC", "EC", "CC", "BC", "GC"])
+def test_scores_reader_equals_compute_centrality(measure):
+    rng = random.Random(43)
+    for g in (generate_barabasi_albert(150, 2, 3), random_disconnected_graph(rng)):
+        settings_ = {"cc_convention": CC_PAPER_LITERAL, "gc_radius": 2, "bc_normalized": False}
+        full = compute_centrality(g, measure, **settings_)
+        tag, read = _scores_reader(g, measure.lower(), **settings_)
+        nodes = np.array(rng.sample(range(g.node_count), g.node_count // 2))
+        scores, params = read(nodes)
+        assert tag == measure
+        assert np.array_equal(scores, full.scores[nodes])
+        assert params == full.params
+
+
+def test_scores_reader_checks_settings_before_any_work():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="unknown measure"):
+        _scores_reader(g, "XX")
+    with pytest.raises(ValueError, match="closeness convention"):
+        _scores_reader(g, "CC", cc_convention="bogus")
+    with pytest.raises(ValueError, match="radius"):
+        _scores_reader(g, "GC", gc_radius=1.5)
+    with pytest.raises(TypeError):
+        _scores_reader(g, "DC", no_such_setting=1)

@@ -133,6 +133,21 @@ def test_sir_curve_from_lsc_seeds(small_graph_file, tmp_path):
     assert lines[1] == "0,2"
 
 
+@pytest.mark.parametrize("top", [1, 3, 10])
+def test_sir_seeds_from_lsc_match_the_full_lsc_prefix(tmp_path, capsys, top):
+    from lexcent.datasets import load_dataset
+    from lexcent.ranking import lsc
+
+    seeds = list(lsc(load_dataset("karate")).ordered_nodes[:top])
+    common = ["--dataset", "karate", "--beta", "0.05", "--steps", "15", "--reps", "50"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["sir", *common, "--seeds-from", "lsc", "--top", str(top), "--out", str(a)]) == 0
+    assert capsys.readouterr().out == f"wrote spread curve for seeds {seeds} to {a}\n"
+    assert run(["sir", *common, "--seeds", ",".join(map(str, seeds)), "--out", str(b)]) == 0
+    assert capsys.readouterr().out == f"wrote spread curve for seeds {seeds} to {b}\n"
+    assert (a / "sir_curve_lsc.csv").read_bytes() == (b / "sir_curve_seeds.csv").read_bytes()
+
+
 def test_sir_curve_requires_steps(small_graph_file, tmp_path, capsys):
     code = run(
         [

@@ -137,6 +137,21 @@ def test_from_edges_rejects_bad_endpoints(pairs, message):
         from_edges(3, pairs)
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 1, 2)], r"^edge 0 is \(0, 1, 2\), not a pair of node ids$"),
+        ([(0,), (1, 2, 3)], r"^edge 0 is \(0,\), not a pair of node ids$"),
+        ([(0, 1), (1, 2), [2]], r"^edge 2 is \[2\], not a pair of node ids$"),
+        ([(0, 1), 5], r"^edge 1 is 5, not a pair of node ids$"),
+    ],
+    ids=["triple", "ragged", "singleton-list", "scalar"],
+)
+def test_from_edges_names_the_first_malformed_pair(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        from_edges(3, pairs)
+
+
 def test_from_edges_accepts_numpy_integers_and_generators():
     g = from_edges(3, ((np.int32(u), np.int64(u + 1)) for u in range(2)))
     assert list(g.edges()) == [(0, 1), (1, 2)]

@@ -1,13 +1,16 @@
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from lexcent.centrality import CentralityVector
-from lexcent.graph import from_edges
+from lexcent import centrality
+from lexcent.centrality import MEASURES, CentralityVector, PowerIterationError, compute_centrality
+from lexcent.datasets import load_dataset
+from lexcent.graph import from_edges, generate_barabasi_albert
 from lexcent.ranking import (
     NodeRanking,
     build_ranking_matrix,
@@ -20,7 +23,7 @@ from lexcent.ranking import (
 )
 
 from test_graph import cycle_graph
-from test_centrality import star_graph
+from test_centrality import complete_bipartite_graph, star_graph
 
 
 def vectors_from_columns(*columns):
@@ -34,6 +37,13 @@ def vectors_from_columns(*columns):
 def matrix_from_rows(rows, precision, rounding="half_even"):
     columns = list(zip(*rows))
     return build_ranking_matrix(vectors_from_columns(*columns), precision, rounding)
+
+
+def reference_lexical_sort(rm):
+    """The np.lexsort oracle: stable, and it sorts by its LAST key first, so
+    the columns go in reversed and negated (descending)."""
+    keys = tuple(-rm.scaled[:, col] for col in reversed(range(rm.scaled.shape[1])))
+    return tuple(np.lexsort(keys).tolist())
 
 
 WORKED_EXAMPLE_ROWS = [
@@ -168,6 +178,21 @@ def test_dominance_against_pairwise_oracle(rows):
                 assert a < b  # stability: ties keep input order
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0])] * width),
+            min_size=1,
+            max_size=60,
+        )
+    )
+)
+def test_lexical_sort_equals_lexsort_oracle(rows):
+    rm = matrix_from_rows(rows, precision=1)
+    assert lexical_sort(rm).ordered_nodes == reference_lexical_sort(rm)
+
+
 def multipass_oracle(rows):
     """Sort by the first column, then re-sort runs tied on the prefix by the
     next column, column by column (stable within runs)."""
@@ -296,6 +321,167 @@ def test_lsc_supports_other_measure_orders():
     g = star_graph(4)
     ranking = lsc(g, measure_order=("GC", "DC"), gc_radius=2)
     assert sorted(ranking.ordered_nodes) == list(range(5))
+
+
+# ---------------------------------------------------------------------------
+# tie-driven LSC: later measures only for ties, and only the ranked prefix
+
+
+def _piece(kind, size, rng):
+    """Edges of one tie-heavy component on nodes 0..size-1."""
+    if kind == "star":
+        return [(0, j) for j in range(1, size)]
+    if kind == "cycle":
+        return [(i, (i + 1) % size) for i in range(size)]
+    if kind == "path":
+        return [(i, i + 1) for i in range(size - 1)]
+    if kind == "kab":
+        a = rng.randrange(1, size)
+        return [(i, j) for i in range(a) for j in range(a, size)]
+    return [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.3]
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Disjoint unions of stars, cycles, paths, K(a,b) and random blocks,
+    plus isolated nodes, with ids shuffled; 3 <= n <= 40 and at least one
+    edge."""
+    rng = draw(st.randoms(use_true_random=False))
+    kinds = draw(st.lists(st.sampled_from(["star", "cycle", "path", "kab", "random"]),
+                          min_size=1, max_size=3))
+    edges, n = [], 0
+    for kind in kinds:
+        size = draw(st.integers(min_value=3, max_value=12))
+        edges += [(n + u, n + v) for u, v in _piece(kind, size, rng)]
+        n += size
+    n += draw(st.integers(min_value=0, max_value=4))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tie_heavy_graphs(),
+    st.permutations(MEASURES).flatmap(
+        lambda tags: st.integers(1, 5).map(lambda k: tuple(tags[:k]))
+    ),
+    st.integers(min_value=0, max_value=15),
+    st.sampled_from(["half_even", "truncate"]),
+    st.sampled_from(["1", "2", "n-1", "n", None]),
+    st.sampled_from(["component_scaled", "paper_literal"]),
+    st.integers(min_value=1, max_value=3),
+)
+def test_prefix_lsc_equals_lexsort_over_the_full_matrix(
+    g, order, precision, rounding, top_case, convention, radius
+):
+    n = g.node_count
+    top = {"1": 1, "2": 2, "n-1": n - 1, "n": n, None: None}[top_case]
+    measure_settings = {"cc_convention": convention, "gc_radius": radius}
+    try:
+        vectors = [compute_centrality(g, tag, **measure_settings) for tag in order]
+        rm = build_ranking_matrix(vectors, precision, rounding)
+    except (ValueError, PowerIterationError):
+        reject()  # GC beyond int64 at this precision, or EC did not converge
+    expected = reference_lexical_sort(rm)[: n if top is None else top]
+    ranking = lsc(g, precision, order, rounding, top=top, **measure_settings)
+    assert ranking.ordered_nodes == expected
+    read = ranking.params["measures"]
+    assert order[0] in read and set(read) <= set(order)
+    for tag in read:
+        assert read[tag] == next(v.params for v in vectors if v.measure == tag)
+
+
+def sparse_forest_graph(seed):
+    """A BA(400, 2) component plus random trees of 2 to 20 nodes over 200
+    more nodes, ids shuffled: sparse, disconnected and full of ties."""
+    rng = random.Random(seed)
+    edges = list(generate_barabasi_albert(400, 2, seed).edges())
+    n = 400
+    while n < 600:
+        size = min(rng.randrange(2, 21), 600 - n)
+        edges += [(n + j, n + rng.randrange(j)) for j in range(1, size)]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def tied_on_first_two(g, top, precision):
+    """The nodes whose rounded (DC, EC) pair ties within the first ``top``
+    positions of the full LSC: every member of a tied run that starts
+    before ``top``, from the full (DC, EC, CC) matrix."""
+    vectors = [compute_centrality(g, tag) for tag in ("DC", "EC", "CC")]
+    rm = build_ranking_matrix(vectors, precision)
+    order = reference_lexical_sort(rm)
+    limit = g.node_count if top is None else top
+    pairs = [tuple(rm.scaled[v, :2]) for v in order]
+    needed, i = set(), 0
+    while i < len(order):
+        j = i + 1
+        while j < len(order) and pairs[j] == pairs[i]:
+            j += 1
+        if j - i > 1 and i < limit:
+            needed.update(order[i:j])
+        i = j
+    return needed
+
+
+@pytest.mark.parametrize(
+    "graph, top, precision",
+    [
+        ("karate", None, 5),
+        ("karate", 1, 5),
+        ("karate", 10, 2),
+        ("karate", 30, 1),
+        ("ba1000", None, 5),
+        ("forest", 10, 5),
+        ("forest", None, 5),
+        ("forest", 100, 2),
+    ],
+)
+def test_closeness_is_asked_only_for_the_tied_prefix(graph, top, precision):
+    g = {
+        "karate": lambda: load_dataset("karate"),
+        "ba1000": lambda: generate_barabasi_albert(1000, 10, 7),
+        "forest": lambda: sparse_forest_graph(3),
+    }[graph]()
+    with mock.patch.object(centrality, "_closeness_at", wraps=centrality._closeness_at) as cc:
+        ranking = lsc(g, precision, top=top)
+    asked = [node for call in cc.call_args_list for node in call.args[1].tolist()]
+    assert cc.call_count <= 1
+    assert sorted(asked) == sorted(tied_on_first_two(g, top, precision))
+    assert ("CC" in ranking.params["measures"]) == bool(asked)
+
+
+def test_lsc_computes_no_measure_the_prefix_does_not_reach():
+    g = star_graph(4)
+    # the centre alone has the top degree, so EC is never computed: with one
+    # iteration allowed it would raise
+    ranking = lsc(g, top=1, ec_max_iter=1)
+    assert ranking.ordered_nodes == (0,)
+    assert ranking.params["measures"] == {"DC": {}}
+    with pytest.raises(PowerIterationError):
+        lsc(g, ec_max_iter=1)  # the four tied leaves need EC
+
+
+def test_lsc_checks_measures_and_settings_before_any_work():
+    g = star_graph(4)
+    with pytest.raises(ValueError, match="unknown measure"):
+        lsc(g, top=1, measure_order=("DC", "XX"))
+    with pytest.raises(ValueError, match="closeness convention"):
+        lsc(g, top=1, cc_convention="bogus")
+    with pytest.raises(ValueError, match="rounding"):
+        lsc(g, top=1, rounding="up")
+    for top in (0, 1.5, True):
+        with pytest.raises(ValueError, match="top"):
+            lsc(g, top=top)
+
+
+def test_lsc_top_beyond_n_ranks_every_node():
+    g = complete_bipartite_graph(2, 5)
+    assert lsc(g, top=50).ordered_nodes == lsc(g).ordered_nodes
+    assert len(lsc(g).ordered_nodes) == 7
 
 
 # ---------------------------------------------------------------------------
