@@ -328,10 +328,10 @@ def _scores_reader(
     bc_normalized: bool = True,
     gc_radius: int = 3,
     gc_exponent: int = 2,
-) -> tuple[str, Callable[[np.ndarray], tuple[np.ndarray, dict]]]:
-    """Check a measure's tag and settings, and return (tag, read) where
-    read(nodes) gives the measure's scores at ``nodes`` (distinct node ids),
-    in that order, and its params, as compute_centrality would.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Check a measure's tag and settings, and return read, where read(nodes)
+    gives the measure's scores at ``nodes`` (distinct node ids), in that
+    order, as compute_centrality would.
 
     Nothing is computed until read is called. DC indexes the degrees, CC and
     GC search from ``nodes`` only, and EC and BC are computed in full; every
@@ -339,25 +339,17 @@ def _scores_reader(
     """
     tag = measure.upper()
     if tag == "DC":
-        return tag, lambda nodes: (g.degrees()[nodes] / (g.node_count - 1), {})
+        return lambda nodes: g.degrees()[nodes] / (g.node_count - 1)
     if tag == "CC":
         _check_closeness(g, cc_convention)
-        params = {"convention": cc_convention}
-        return tag, lambda nodes: (_closeness_at(g, nodes, cc_convention), params)
+        return lambda nodes: _closeness_at(g, nodes, cc_convention)
     if tag == "GC":
         _check_gravity(gc_radius)
-        params = {"radius": gc_radius, "exponent": gc_exponent}
-        return tag, lambda nodes: (_gravity_at(g, nodes, gc_radius, gc_exponent), params)
+        return lambda nodes: _gravity_at(g, nodes, gc_radius, gc_exponent)
     if tag not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-
-    def read(nodes: np.ndarray) -> tuple[np.ndarray, dict]:
-        vec = compute_centrality(
-            g, tag, ec_tol=ec_tol, ec_max_iter=ec_max_iter, bc_normalized=bc_normalized
-        )
-        return vec.scores[nodes], vec.params
-
-    return tag, read
+    settings = {"ec_tol": ec_tol, "ec_max_iter": ec_max_iter, "bc_normalized": bc_normalized}
+    return lambda nodes: compute_centrality(g, tag, **settings).scores[nodes]
 
 
 def write_centrality_csv(vectors: list[CentralityVector], stream) -> None:

@@ -20,19 +20,21 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import datasets
-from .centrality import compute_centrality, write_centrality_csv
-from .evaluation import (
-    EVAL_MEASURES,
-    benchmark_runtime,
-    evaluate_dataset,
-    rank_vs_score_series,
-    top_x_size,
+from .centrality import (
+    CC_COMPONENT_SCALED,
+    CC_PAPER_LITERAL,
+    MEASURES,
+    compute_centrality,
+    write_centrality_csv,
 )
+from .evaluation import EVAL_MEASURES, benchmark_runtime, evaluate_dataset, rank_vs_score_series
 from .graph import Graph, _is_int, dataset_stats, generate_barabasi_albert, load_edge_list
 from .ranking import (
     DEFAULT_MEASURE_ORDER,
     DEFAULT_PRECISION,
     ROUND_HALF_EVEN_MODE,
+    ROUNDING_MODES,
+    _check_measure_order,
     build_ranking_matrix,
     lexical_sort,
     lsc,
@@ -44,14 +46,13 @@ from .ranking import (
 from .sir import (
     SirParams,
     _check_seeds,
-    mean_scores,
     score_all_nodes,
     spread_curve,
     write_curve_csv,
     write_scores_csv,
 )
 
-VALUE_MEASURES = ("dc", "ec", "cc", "bc", "gc")
+VALUE_MEASURES = tuple(tag.lower() for tag in MEASURES)
 
 
 @dataclass
@@ -80,7 +81,7 @@ class RunConfig:
         default_factory=lambda: list(DEFAULT_MEASURE_ORDER)
     )
     rounding: str = ROUND_HALF_EVEN_MODE
-    cc_convention: str = "component_scaled"
+    cc_convention: str = CC_COMPONENT_SCALED
     ec_tol: float = 1e-8
     ec_max_iter: int = 1000
     gc_radius: int = 3
@@ -98,7 +99,7 @@ class RunConfig:
         """Cheap precondition checks for every field, before any real work."""
         if not _is_int(self.precision) or not 0 <= self.precision <= 15:
             raise ValueError("precision must be an integer between 0 and 15")
-        if self.rounding not in ("half_even", "truncate"):
+        if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
         known = set(VALUE_MEASURES) | {"lsc"}
         for m in self.measures:
@@ -107,6 +108,7 @@ class RunConfig:
         for tag in self.measure_order:
             if tag.lower() not in VALUE_MEASURES:
                 raise ValueError(f"unknown measure {tag!r} in measure order")
+        _check_measure_order(self.measure_order)
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
         if not 0.0 < self.gamma <= 1.0:
@@ -123,7 +125,7 @@ class RunConfig:
             raise ValueError("x-percent must be in (0, 100]")
         if self.tau_variant not in ("a", "b"):
             raise ValueError("tau variant must be 'a' or 'b'")
-        if self.cc_convention not in ("component_scaled", "paper_literal"):
+        if self.cc_convention not in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
             raise ValueError(f"unknown closeness convention {self.cc_convention!r}")
         if not self.ec_tol > 0:
             raise ValueError("ec-tol must be > 0")
@@ -306,34 +308,32 @@ def cmd_sir(config: RunConfig) -> None:
 
 def cmd_evaluate(config: RunConfig) -> None:
     g = _load_graph(config)
-    top_x_size(g.node_count, config.x_percent)
-    params = _sir_params(config)
-    results = score_all_nodes(g, params)
     report = evaluate_dataset(
         g,
-        params,
+        _sir_params(config),
         x_percent=config.x_percent,
         dataset=_dataset_tag(config),
         tau_variant=config.tau_variant,
         precision=config.precision,
         measure_order=config.measure_order,
         rounding=config.rounding,
-        sir_results=results,
         **config.measure_settings(),
     )
     # rank-vs-score series per measure (plot-ready), plus inversion summary
-    truth = mean_scores(results)
-    series = {tag: rank_vs_score_series(report.rankings[tag], truth) for tag in EVAL_MEASURES}
+    series = {
+        tag: rank_vs_score_series(report.rankings[tag], report.ground_truth)
+        for tag in EVAL_MEASURES
+    }
     out = _outdir(config)
     _write_labels(g, out)
     (out / "eval_report.json").write_text(report.to_json())
     _write(out / "eval_report.csv", report.write_csv)
-    _write(out / "sir_scores.csv", lambda s: write_scores_csv(results, s))
-    for tag, (points, _) in series.items():
+    _write(out / "sir_scores.csv", lambda s: write_scores_csv(report.sir_results, s))
+    for tag, (scores, _) in series.items():
 
-        def _writer(stream, r=report.rankings[tag], ser=points):
+        def _writer(stream, nodes=report.rankings[tag].ordered_nodes, ser=scores.tolist()):
             stream.write("index,node,score\n")
-            for (idx, score), node in zip(ser, r.ordered_nodes):
+            for idx, (node, score) in enumerate(zip(nodes, ser)):
                 stream.write(f"{idx},{node},{score:.12g}\n")
 
         _write(out / f"rank_vs_score_{tag.lower()}.csv", _writer)
@@ -425,7 +425,7 @@ def _add_common_args(parser: argparse.ArgumentParser, *, needs_graph: bool) -> N
 def _add_measure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--precision", type=int, help="decimal places for LSC rounding")
     parser.add_argument(
-        "--rounding", choices=["half_even", "truncate"], help="LSC rounding mode"
+        "--rounding", choices=ROUNDING_MODES, help="LSC rounding mode"
     )
     parser.add_argument(
         "--measure-order",
@@ -436,7 +436,7 @@ def _add_measure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cc-convention",
         dest="cc_convention",
-        choices=["component_scaled", "paper_literal"],
+        choices=(CC_COMPONENT_SCALED, CC_PAPER_LITERAL),
     )
     parser.add_argument("--ec-tol", dest="ec_tol", type=float)
     parser.add_argument("--ec-max-iter", dest="ec_max_iter", type=int)

@@ -21,21 +21,21 @@ from .ranking import (
     DEFAULT_PRECISION,
     ROUND_HALF_EVEN_MODE,
     NodeRanking,
+    _check_measure_order,
     build_ranking_matrix,
     lexical_sort,
     lsc,
     ranking_from_scores,
 )
-from .sir import SirParams, mean_scores, score_all_nodes
+from .sir import SirParams, SirResult, mean_scores, score_all_nodes
 
 EVAL_MEASURES = ("DC", "EC", "CC", "BC", "GC", "LSC")
 
 
-def _tie_pair_count(values: Sequence) -> int:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+def _tie_pair_count(values: np.ndarray) -> int:
+    """Pairs of equal entries."""
+    counts = np.unique(values, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def _merge_count_inversions(values: list) -> int:
@@ -100,15 +100,15 @@ def kendall_tau(a: Sequence[float], b: Sequence[float], variant: str = "a") -> f
     """
     n = _validate_tau_inputs(a, b)
     pairs = n * (n - 1) // 2
-    order = sorted(range(n), key=lambda i: (a[i], b[i]))
-    a_sorted = [a[i] for i in order]
-    b_sorted = [b[i] for i in order]
+    a, b = np.asarray(a), np.asarray(b)
     # sorting secondarily by b puts tied-a runs in ascending b order, so the
     # inversion count below never charges a pair that is tied in a
-    discordant = _merge_count_inversions(b_sorted)
-    ties_a = _tie_pair_count(a_sorted)
-    ties_b = _tie_pair_count(b_sorted)
-    ties_both = _tie_pair_count(list(zip(a_sorted, b_sorted)))
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    discordant = _merge_count_inversions(b.tolist())
+    ties_a = _tie_pair_count(a)
+    ties_b = _tie_pair_count(b)
+    ties_both = _tie_pair_count(a + 1j * b)  # a pair is equal iff its complex number is
     concordant = pairs - ties_a - ties_b + ties_both - discordant
     return _tau_from_counts(concordant, discordant, pairs, ties_a, ties_b, variant)
 
@@ -170,21 +170,19 @@ def top_x_overlap(
 
 def rank_vs_score_series(
     ranking: NodeRanking, scores: Sequence[float]
-) -> tuple[list[tuple[int, float]], int]:
+) -> tuple[np.ndarray, int]:
     """Scores reordered by ranking position, for plotting.
 
-    Returns (series, adjacent_inversions) where series[i] = (i, score of the
-    node ranked i) and adjacent_inversions counts positions where the score
-    strictly increases from one rank to the next (0 for a perfect ranking).
+    Returns (series, adjacent_inversions) where series[i] is the score of the
+    node ranked i (float64) and adjacent_inversions counts positions where
+    the score strictly increases from one rank to the next (0 for a perfect
+    ranking).
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size != len(ranking.ordered_nodes):
         raise ValueError("ranking and scores cover different node counts")
-    series = [(i, float(arr[node])) for i, node in enumerate(ranking.ordered_nodes)]
-    inversions = sum(
-        1 for i in range(len(series) - 1) if series[i + 1][1] > series[i][1]
-    )
-    return series, inversions
+    series = arr[np.array(ranking.ordered_nodes, dtype=np.intp)]
+    return series, int(np.count_nonzero(series[1:] > series[:-1]))
 
 
 @dataclass(frozen=True)
@@ -251,8 +249,11 @@ class EvalReport:
     measures: dict[str, dict]
     tau_variant: str = "a"
     runtime_seconds: dict[str, float] | None = None
-    # per-measure rankings the rows were scored from; not serialized
+    # per-measure rankings, and the SIR results and their mean scores (the
+    # ground truth), that the rows were scored from; not serialized
     rankings: dict[str, NodeRanking] = field(default_factory=dict, repr=False)
+    sir_results: list[SirResult] = field(default_factory=list, repr=False)
+    ground_truth: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         payload = {
@@ -285,10 +286,7 @@ class EvalReport:
 def lsc_rank_values(ranking: NodeRanking) -> np.ndarray:
     """Per-node comparison values for an order-only ranking: the negated rank
     position, so larger means more influential (usable directly in tau)."""
-    values = np.empty(len(ranking.ordered_nodes), dtype=np.float64)
-    for position, node in enumerate(ranking.ordered_nodes):
-        values[node] = -float(position)
-    return values
+    return -np.argsort(ranking.ordered_nodes).astype(np.float64)
 
 
 def evaluate_dataset(
@@ -300,7 +298,6 @@ def evaluate_dataset(
     precision: int = DEFAULT_PRECISION,
     measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
     rounding: str = ROUND_HALF_EVEN_MODE,
-    sir_results: Sequence | None = None,
     **measure_settings,
 ) -> EvalReport:
     """Full ranking-evaluation pipeline for one graph.
@@ -309,17 +306,20 @@ def evaluate_dataset(
     vectors in ``measure_order``, computes Monte-Carlo SIR spreading scores
     for every node, and per measure: Kendall tau between the measure's values
     and the SIR scores (LSC contributes negated rank positions), and the
-    top-x% overlap against the SIR top-k. Precomputed ``sir_results`` (from
-    score_all_nodes with the same params) are reused when given. The six
-    rankings are returned on the report's ``rankings``.
+    top-x% overlap against the SIR top-k. An empty top-x set is rejected
+    before any centrality or SIR work. The six rankings, the SIR results and
+    their mean scores are returned on the report's ``rankings``,
+    ``sir_results`` and ``ground_truth``.
     """
     unknown = [tag for tag in measure_order if tag.upper() not in MEASURES]
     if unknown:
         raise ValueError(f"unknown measure {unknown[0]!r}")
+    _check_measure_order(measure_order)
+    if g.node_count < 2:
+        raise ValueError("evaluation requires at least 2 nodes")
+    top_x_size(g.node_count, x_percent)
     vectors = {tag: compute_centrality(g, tag, **measure_settings) for tag in MEASURES}
-    top_x_size(g.node_count, x_percent)  # reject an empty top-x set before any SIR work
-    if sir_results is None:
-        sir_results = score_all_nodes(g, params)
+    sir_results = score_all_nodes(g, params)
     ground_truth = mean_scores(sir_results)
     rankings = {tag: ranking_from_scores(vec.scores, tag) for tag, vec in vectors.items()}
     rm = build_ranking_matrix(
@@ -329,7 +329,7 @@ def evaluate_dataset(
     report_rows: dict[str, dict] = {}
     for tag, ranking in rankings.items():
         values = lsc_rank_values(ranking) if tag == "LSC" else vectors[tag].scores
-        tau = kendall_tau(values.tolist(), ground_truth.tolist(), tau_variant)
+        tau = kendall_tau(values, ground_truth, tau_variant)
         overlap, k = top_x_overlap(ranking, ground_truth, x_percent)
         report_rows[tag] = {"tau": tau, "top_x_overlap": overlap, "top_x_k": k}
     return EvalReport(
@@ -343,4 +343,6 @@ def evaluate_dataset(
         measures=report_rows,
         tau_variant=tau_variant,
         rankings=rankings,
+        sir_results=sir_results,
+        ground_truth=ground_truth,
     )

@@ -2,9 +2,9 @@
 centrality values and order nodes by descending lexicographic comparison of
 their value tuples, most influential first.
 
-Rounded values are carried both as floats (for display/serialization) and as
-exact scaled integers (value * 10^precision), and all comparisons use the
-integers so the sort key is immune to binary floating-point artifacts.
+Rounded values are carried only as exact scaled integers (value *
+10^precision), so the sort key is immune to binary floating-point artifacts;
+the audit dump divides them back into decimals.
 """
 
 from __future__ import annotations
@@ -29,18 +29,13 @@ DEFAULT_PRECISION = 5
 
 @dataclass(frozen=True)
 class RankingMatrix:
-    """values[i] is node i's tuple of rounded centrality values in
-    measure_order; scaled[i] are the same values as exact integers at
-    10^precision."""
+    """scaled[i] is node i's tuple of rounded centrality values in
+    measure_order, as exact integers at 10^precision."""
 
-    values: np.ndarray
     scaled: np.ndarray
     measure_order: tuple[str, ...]
     precision: int
     rounding: str
-
-    def row(self, position: int) -> tuple[float, ...]:
-        return tuple(self.values[position])
 
 
 @dataclass(frozen=True)
@@ -62,6 +57,14 @@ def _check_rounding(precision: int, rounding: str) -> None:
         raise ValueError(f"unknown rounding mode {rounding!r}")
     if not 0 <= precision <= 15:
         raise ValueError("precision must be between 0 and 15 decimal places")
+
+
+def _check_measure_order(measure_order: Sequence[str]) -> None:
+    """Reject a measure named twice (case-insensitively) in measure_order."""
+    tags = [tag.upper() for tag in measure_order]
+    repeated = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
+    if repeated:
+        raise ValueError(f"measure {repeated[0]!r} is repeated in the measure order")
 
 
 def _scaled_column(scores, measure: str, precision: int, rounding: str) -> np.ndarray:
@@ -96,6 +99,7 @@ def build_ranking_matrix(
     if not vectors:
         raise ValueError("at least one centrality vector is required")
     _check_rounding(precision, rounding)
+    _check_measure_order([vec.measure for vec in vectors])
     n = len(vectors[0].scores)
     for vec in vectors:
         if len(vec.scores) != n:
@@ -105,9 +109,7 @@ def build_ranking_matrix(
     scaled = np.empty((n, len(vectors)), dtype=np.int64)
     for col, vec in enumerate(vectors):
         scaled[:, col] = _scaled_column(vec.scores, vec.measure, precision, rounding)
-    values = scaled.astype(np.float64) / 10.0**precision
     return RankingMatrix(
-        values=values,
         scaled=scaled,
         measure_order=tuple(vec.measure for vec in vectors),
         precision=precision,
@@ -153,6 +155,13 @@ def _tie_order(
     return order[:limit]
 
 
+def _lsc_ranking(
+    order: np.ndarray, measure_order: Sequence[str], precision: int, rounding: str
+) -> NodeRanking:
+    params = {"measure_order": list(measure_order), "precision": precision, "rounding": rounding}
+    return NodeRanking(tuple(order.tolist()), "LSC", params)
+
+
 def lexical_sort(rm: RankingMatrix) -> NodeRanking:
     """Order rows by descending lexicographic comparison of their value
     tuples: the first measure dominates, ties fall through to the next, and
@@ -160,15 +169,7 @@ def lexical_sort(rm: RankingMatrix) -> NodeRanking:
     """
     columns = [lambda nodes, c=c: rm.scaled[nodes, c] for c in range(rm.scaled.shape[1])]
     order = _tie_order(rm.scaled.shape[0], columns)
-    return NodeRanking(
-        ordered_nodes=tuple(order.tolist()),
-        source="LSC",
-        params={
-            "measure_order": list(rm.measure_order),
-            "precision": rm.precision,
-            "rounding": rm.rounding,
-        },
-    )
+    return _lsc_ranking(order, rm.measure_order, rm.precision, rm.rounding)
 
 
 def lsc(
@@ -192,8 +193,8 @@ def lsc(
     Errors are raised for the values the sort reads: measure errors (EC on
     an edgeless graph, say) and the int64 overflow ValueError. Values it
     never reads are neither computed nor rounded (build_ranking_matrix, in
-    contrast, rounds every value it is given). params["measures"] holds the
-    params of the measures read. Extra keyword settings are passed
+    contrast, rounds every value it is given). params are lexical_sort's:
+    measure_order, precision and rounding. Extra keyword settings are passed
     through to the measure implementations (cc_convention, ec_tol,
     ec_max_iter, gc_radius, gc_exponent, ...).
     """
@@ -204,24 +205,15 @@ def lsc(
     if top is not None and (not _is_int(top) or top < 1):
         raise ValueError("top must be an integer >= 1")
     _check_rounding(precision, rounding)
-    sub_params: dict[str, dict] = {}
+    _check_measure_order(measure_order)
+    tags = [tag.upper() for tag in measure_order]
 
     def column(tag: str, read) -> Callable[[np.ndarray], np.ndarray]:
-        def scaled(nodes: np.ndarray) -> np.ndarray:
-            scores, sub_params[tag] = read(nodes)
-            return _scaled_column(scores, tag, precision, rounding)
-
-        return scaled
+        return lambda nodes: _scaled_column(read(nodes), tag, precision, rounding)
 
     readers = [_scores_reader(g, tag, **measure_settings) for tag in measure_order]
-    order = _tie_order(g.node_count, [column(*reader) for reader in readers], top)
-    params = {
-        "measure_order": [tag for tag, _ in readers],
-        "precision": precision,
-        "rounding": rounding,
-        "measures": sub_params,
-    }
-    return NodeRanking(tuple(order.tolist()), "LSC", params)
+    order = _tie_order(g.node_count, list(map(column, tags, readers)), top)
+    return _lsc_ranking(order, tags, precision, rounding)
 
 
 def ranking_from_scores(scores: Sequence[float], source: str) -> NodeRanking:
@@ -252,6 +244,6 @@ def ranking_to_json(ranking: NodeRanking) -> str:
 def write_ranking_matrix_csv(rm: RankingMatrix, stream: IO[str]) -> None:
     """Audit dump: node plus one column per measure, rounded values."""
     stream.write("node," + ",".join(rm.measure_order) + "\n")
-    for node, values in enumerate(rm.values):
+    for node, values in enumerate(rm.scaled / 10.0**rm.precision):
         row = ",".join(f"{v:.{rm.precision}f}" for v in values)
         stream.write(f"{node},{row}\n")

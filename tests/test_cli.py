@@ -5,6 +5,7 @@ import pytest
 
 import lexcent.centrality
 import lexcent.cli
+import lexcent.evaluation
 from lexcent.cli import main
 from lexcent.datasets import dataset_path
 
@@ -437,11 +438,36 @@ def test_empty_top_x_fails_before_any_work(small_graph_file, tmp_path, capsys, m
     def no_ground_truth(*args, **kwargs):
         raise AssertionError("SIR ground truth started")
 
-    monkeypatch.setattr(lexcent.cli, "score_all_nodes", no_ground_truth)
+    monkeypatch.setattr(lexcent.evaluation, "score_all_nodes", no_ground_truth)
     out = tmp_path / "o"
     argv = ["evaluate", "--graph", str(small_graph_file), "--beta", "0.2", "--out", str(out)]
     assert run(argv) == 2
     assert "x_percent=5.0 selects 0 of 5 nodes" in capsys.readouterr().err
+    assert not out.exists()  # rejected before outputs were touched
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centrality", "--measures", "lsc"],
+        ["sir", "--seeds-from", "lsc", "--steps", "3", "--beta", "0.5"],
+        ["evaluate", "--beta", "0.5", "--x-percent", "20"],
+    ],
+    ids=["centrality", "sir", "evaluate"],
+)
+def test_repeated_measure_in_the_order_fails_before_any_work(
+    small_graph_file, tmp_path, capsys, monkeypatch, argv
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr(lexcent.cli, "_load_graph", no_work)
+    out = tmp_path / "o"
+    argv = [*argv, "--measure-order", "dc,ec,DC", "--graph", str(small_graph_file),
+            "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: measure 'DC' is repeated in the measure order\n"
     assert not out.exists()  # rejected before outputs were touched
 
 

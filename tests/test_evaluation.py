@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lexcent.evaluation import (
 )
 from lexcent.graph import from_edges
 from lexcent.ranking import NodeRanking, ranking_from_scores
-from lexcent.sir import SirParams
+from lexcent.sir import SirParams, mean_scores, score_all_nodes
 
 from test_graph import cycle_graph, random_graph
 from test_centrality import star_graph
@@ -143,7 +144,8 @@ def test_series_perfect_ranking_has_no_inversions():
     scores = [5.0, 3.0, 1.0, 4.0]
     ranking = ranking_from_scores(scores, "DC")
     series, inversions = rank_vs_score_series(ranking, scores)
-    values = [s for _, s in series]
+    assert series.dtype == np.float64
+    values = series.tolist()
     assert values == sorted(values, reverse=True)
     assert inversions == 0
 
@@ -152,7 +154,7 @@ def test_series_reverse_ranking_is_nondecreasing():
     scores = [1.0, 2.0, 3.0]
     ranking = NodeRanking((0, 1, 2), "DC")
     series, inversions = rank_vs_score_series(ranking, scores)
-    values = [s for _, s in series]
+    values = series.tolist()
     assert values == sorted(values)
     assert inversions == 2
 
@@ -164,6 +166,7 @@ def test_series_inversions_match_adjacent_scan():
     rng.shuffle(order)
     ranking = NodeRanking(tuple(order), "DC")
     series, inversions = rank_vs_score_series(ranking, scores)
+    assert series.tolist() == [scores[node] for node in order]
     expected = sum(
         1 for i in range(99) if scores[order[i + 1]] > scores[order[i]]
     )
@@ -227,8 +230,9 @@ def test_evaluate_is_deterministic_and_thread_invariant():
     [
         (star_graph(3), ("DC", "XC"), "unknown measure 'XC'"),
         (from_edges(1, []), ("DC", "EC", "CC"), "at least 2 nodes"),
+        (star_graph(3), ("DC", "EC", "dc"), "measure 'DC' is repeated in the measure order"),
     ],
-    ids=["unknown-measure", "one-node"],
+    ids=["unknown-measure", "one-node", "repeated-measure"],
 )
 def test_evaluate_rejects_bad_input(graph, order, message):
     params = SirParams(beta=0.2, gamma=1.0, replications=10, rng_seed=1)
@@ -236,14 +240,22 @@ def test_evaluate_rejects_bad_input(graph, order, message):
         evaluate_dataset(graph, params, measure_order=order)
 
 
-def test_evaluate_rejects_empty_top_x_before_ground_truth(monkeypatch):
-    def no_ground_truth(*args, **kwargs):
-        raise AssertionError("SIR ground truth started")
-
-    monkeypatch.setattr(lexcent.evaluation, "score_all_nodes", no_ground_truth)
+def test_evaluate_rejects_empty_top_x_before_ground_truth():
     params = SirParams(beta=0.2, gamma=1.0, replications=10, rng_seed=1)
-    with pytest.raises(ValueError, match="x_percent=5.0 selects 0 of 4 nodes"):
-        evaluate_dataset(star_graph(3), params)
+    with mock.patch.object(lexcent.evaluation, "score_all_nodes") as sir, \
+            mock.patch.object(lexcent.evaluation, "compute_centrality") as centrality:
+        with pytest.raises(ValueError, match="x_percent=5.0 selects 0 of 4 nodes"):
+            evaluate_dataset(star_graph(3), params)
+    assert sir.call_count == 0 and centrality.call_count == 0
+
+
+def test_evaluate_report_carries_its_ground_truth():
+    g = star_graph(4)
+    params = SirParams(beta=0.3, gamma=1.0, replications=40, rng_seed=3)
+    report = evaluate_dataset(g, params, x_percent=20)
+    expected = score_all_nodes(g, params)
+    assert report.sir_results == expected
+    assert np.array_equal(report.ground_truth, mean_scores(expected))
 
 
 def test_report_serialization_shape():

@@ -4,11 +4,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from lexcent import centrality
-from lexcent.centrality import MEASURES, CentralityVector, PowerIterationError, compute_centrality
+from lexcent import ranking as ranking_module
+from lexcent.centrality import (
+    MEASURES,
+    CentralityVector,
+    PowerIterationError,
+    _scores_reader,
+    compute_centrality,
+)
 from lexcent.datasets import load_dataset
 from lexcent.graph import from_edges, generate_barabasi_albert
 from lexcent.ranking import (
@@ -73,33 +80,30 @@ TWO_NODE_ROWS = [
 
 def test_precision_five_keeps_values():
     rm = matrix_from_rows(TWO_NODE_ROWS, precision=5)
-    assert rm.row(0) == (0.76525, 0.05963, 0.15423)
-    assert rm.row(1) == (0.76234, 0.06421, 0.24563)
+    assert rm.scaled.tolist() == [[76525, 5963, 15423], [76234, 6421, 24563]]
     assert lexical_sort(rm).ordered_nodes == (0, 1)
 
 
 def test_precision_two_truncate_flips_order():
     rm = matrix_from_rows(TWO_NODE_ROWS, precision=2, rounding="truncate")
-    assert rm.row(0) == (0.76, 0.05, 0.15)
-    assert rm.row(1) == (0.76, 0.06, 0.24)
+    assert rm.scaled.tolist() == [[76, 5, 15], [76, 6, 24]]
     assert lexical_sort(rm).ordered_nodes == (1, 0)
 
 
 def test_precision_two_half_even_rounds_up():
     rm = matrix_from_rows(TWO_NODE_ROWS, precision=2)
-    assert rm.row(0) == (0.77, 0.06, 0.15)
+    assert rm.scaled[0].tolist() == [77, 6, 15]
     assert lexical_sort(rm).ordered_nodes == (0, 1)
 
 
 def test_half_even_breaks_ties_to_even():
     rm = matrix_from_rows([(0.125,), (0.135,)], precision=2)
-    assert rm.row(0) == (0.12,)
-    assert rm.row(1) == (0.14,)
+    assert rm.scaled.tolist() == [[12], [14]]
 
 
 def test_precision_zero_zeroes_small_values():
     rm = matrix_from_rows([(0.1, 0.49), (0.0, 0.25)], precision=0)
-    assert np.all(rm.values == 0.0)
+    assert np.all(rm.scaled == 0)
 
 
 def test_matrix_validation():
@@ -113,6 +117,9 @@ def test_matrix_validation():
         build_ranking_matrix(good, 16)
     with pytest.raises(ValueError, match="rounding"):
         build_ranking_matrix(good, 5, rounding="floor")
+    twice = [CentralityVector("DC", np.array([0.1, 0.2]))] * 2
+    with pytest.raises(ValueError, match="measure 'DC' is repeated in the measure order"):
+        build_ranking_matrix(twice, 5)
 
 
 def test_matrix_rejects_scores_beyond_int64_at_the_precision():
@@ -292,11 +299,13 @@ def test_lsc_vertex_transitive_preserves_input_order():
     assert lsc(cycle_graph(6)).ordered_nodes == (0, 1, 2, 3, 4, 5)
 
 
-def test_lsc_records_sub_measure_params():
-    ranking = lsc(star_graph(3))
-    assert ranking.params["precision"] == 5
-    assert ranking.params["measure_order"] == ["DC", "EC", "CC"]
-    assert "eigenvalue" in ranking.params["measures"]["EC"]
+def test_lsc_params_are_its_settings():
+    ranking = lsc(star_graph(3), measure_order=("dc", "ec"), rounding="truncate")
+    assert ranking.params == {
+        "measure_order": ["DC", "EC"],
+        "precision": 5,
+        "rounding": "truncate",
+    }
 
 
 def test_lsc_matches_exhaustive_tuple_comparison_on_karate():
@@ -384,12 +393,52 @@ def test_prefix_lsc_equals_lexsort_over_the_full_matrix(
     except (ValueError, PowerIterationError):
         reject()  # GC beyond int64 at this precision, or EC did not converge
     expected = reference_lexical_sort(rm)[: n if top is None else top]
-    ranking = lsc(g, precision, order, rounding, top=top, **measure_settings)
+    spy, read = reader_spy()
+    with mock.patch.object(ranking_module, "_scores_reader", spy):
+        ranking = lsc(g, precision, order, rounding, top=top, **measure_settings)
     assert ranking.ordered_nodes == expected
-    read = ranking.params["measures"]
     assert order[0] in read and set(read) <= set(order)
-    for tag in read:
-        assert read[tag] == next(v.params for v in vectors if v.measure == tag)
+
+
+def reader_spy():
+    """A stand-in for centrality._scores_reader that returns the same
+    readers, and the list that records the tag of each measure read."""
+    read_tags = []
+
+    def spy(g, measure, **measure_settings):
+        read = _scores_reader(g, measure, **measure_settings)
+
+        def spied(nodes):
+            read_tags.append(measure.upper())
+            return read(nodes)
+
+        return spied
+
+    return spy, read_tags
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tie_heavy_graphs(),
+    st.permutations(MEASURES).flatmap(
+        lambda tags: st.integers(1, 5).map(lambda k: tuple(tags[:k]))
+    ),
+    st.integers(min_value=0, max_value=15),
+    st.sampled_from(["half_even", "truncate"]),
+)
+@example(load_dataset("karate"), ("DC", "EC", "CC"), 5, "half_even")
+@example(load_dataset("karate"), ("gc", "Bc", "dc"), 2, "truncate")
+def test_lsc_equals_lexical_sort_of_the_full_matrix_params_included(
+    g, order, precision, rounding
+):
+    try:
+        vectors = [compute_centrality(g, tag) for tag in order]
+        full = lexical_sort(build_ranking_matrix(vectors, precision, rounding))
+    except (ValueError, PowerIterationError):
+        reject()  # GC beyond int64 at this precision, or EC did not converge
+    ranking = lsc(g, precision, order, rounding)
+    assert ranking.ordered_nodes == full.ordered_nodes
+    assert ranking.params == full.params
 
 
 def sparse_forest_graph(seed):
@@ -447,22 +496,27 @@ def test_closeness_is_asked_only_for_the_tied_prefix(graph, top, precision):
         "forest": lambda: sparse_forest_graph(3),
     }[graph]()
     with mock.patch.object(centrality, "_closeness_at", wraps=centrality._closeness_at) as cc:
-        ranking = lsc(g, precision, top=top)
+        lsc(g, precision, top=top)
     asked = [node for call in cc.call_args_list for node in call.args[1].tolist()]
-    assert cc.call_count <= 1
-    assert sorted(asked) == sorted(tied_on_first_two(g, top, precision))
-    assert ("CC" in ranking.params["measures"]) == bool(asked)
+    tied = tied_on_first_two(g, top, precision)
+    assert cc.call_count == (1 if tied else 0)
+    assert sorted(asked) == sorted(tied)
 
 
 def test_lsc_computes_no_measure_the_prefix_does_not_reach():
     g = star_graph(4)
-    # the centre alone has the top degree, so EC is never computed: with one
-    # iteration allowed it would raise
-    ranking = lsc(g, top=1, ec_max_iter=1)
-    assert ranking.ordered_nodes == (0,)
-    assert ranking.params["measures"] == {"DC": {}}
-    with pytest.raises(PowerIterationError):
+    ec = mock.patch.object(
+        centrality, "eigenvector_centrality", wraps=centrality.eigenvector_centrality
+    )
+    cc = mock.patch.object(centrality, "_closeness_at", wraps=centrality._closeness_at)
+    # the centre alone has the top degree, so neither EC nor CC is computed:
+    # with one iteration allowed EC would raise
+    with ec as ec_spy, cc as cc_spy:
+        assert lsc(g, top=1, ec_max_iter=1).ordered_nodes == (0,)
+    assert ec_spy.call_count == 0 and cc_spy.call_count == 0
+    with ec as ec_spy, pytest.raises(PowerIterationError):
         lsc(g, ec_max_iter=1)  # the four tied leaves need EC
+    assert ec_spy.call_count == 1
 
 
 def test_lsc_checks_measures_and_settings_before_any_work():
@@ -473,6 +527,10 @@ def test_lsc_checks_measures_and_settings_before_any_work():
         lsc(g, top=1, cc_convention="bogus")
     with pytest.raises(ValueError, match="rounding"):
         lsc(g, top=1, rounding="up")
+    with mock.patch.object(ranking_module, "_scores_reader") as reader:
+        with pytest.raises(ValueError, match="measure 'EC' is repeated in the measure order"):
+            lsc(g, top=1, measure_order=("DC", "EC", "ec"))
+    assert reader.call_count == 0
     for top in (0, 1.5, True):
         with pytest.raises(ValueError, match="top"):
             lsc(g, top=top)
@@ -505,8 +563,19 @@ def test_ranking_csv_and_json(tmp_path):
 
 
 def test_matrix_csv_dump(tmp_path):
-    rm = matrix_from_rows([(0.5, 0.25)], precision=2)
+    cases = [
+        (2, "half_even", "0,0.50,0.25\n1,0.12,0.67\n"),
+        (2, "truncate", "0,0.50,0.25\n1,0.12,0.66\n"),
+        (0, "half_even", "0,0,0\n1,0,1\n"),
+        (0, "truncate", "0,0,0\n1,0,0\n"),
+        (15, "half_even", "0,0.500000000000000,0.250000000000000\n"
+                          "1,0.125000000000000,0.666666666666667\n"),
+        (15, "truncate", "0,0.500000000000000,0.250000000000000\n"
+                         "1,0.125000000000000,0.666666666666666\n"),
+    ]
     path = tmp_path / "rm.csv"
-    with open(path, "w") as stream:
-        write_ranking_matrix_csv(rm, stream)
-    assert path.read_text() == "node,DC,EC\n0,0.50,0.25\n"
+    for precision, rounding, rows in cases:
+        rm = matrix_from_rows([(0.5, 0.25), (0.125, 2 / 3)], precision, rounding)
+        with open(path, "w") as stream:
+            write_ranking_matrix_csv(rm, stream)
+        assert path.read_text() == "node,DC,EC\n" + rows, (precision, rounding)
