@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _bfs_blocks, _is_int, _source_bits, connected_components, k_shell
+from .graph import Graph, _bfs_blocks, _check_int, _source_bits, connected_components, k_shell
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
 
@@ -46,6 +46,36 @@ class CentralityVector:
             raise ValueError(f"unknown measure {self.measure!r}")
 
 
+def _check_measure(measure: str) -> str:
+    """The measure's tag, upper-cased; an unknown measure is a ValueError."""
+    tag = measure.upper()
+    if tag not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    return tag
+
+
+def _check_settings(
+    cc_convention: str = CC_COMPONENT_SCALED,
+    ec_tol: float = 1e-8,
+    ec_max_iter: int = 1000,
+    bc_normalized: bool = True,
+    gc_radius: int = 3,
+    gc_exponent: int = 2,
+) -> dict:
+    """The measure settings with their defaults filled in, once each one is
+    checked; an unknown setting is a TypeError. compute_centrality, the LSC
+    readers and the CLI all check settings here, before any work."""
+    settings = dict(locals())
+    if cc_convention not in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
+        raise ValueError(f"unknown closeness convention {cc_convention!r}")
+    if not ec_tol > 0:
+        raise ValueError(f"ec_tol must be > 0, got {ec_tol!r}")
+    _check_int("ec_max_iter", ec_max_iter, 1)
+    _check_int("gc_radius", gc_radius, 1)
+    _check_int("gc_exponent", gc_exponent)
+    return settings
+
+
 def degree_centrality(g: Graph) -> CentralityVector:
     """DC(i) = degree(i) / (n - 1)."""
     if g.node_count < 2:
@@ -70,6 +100,7 @@ def eigenvector_centrality(
     On a disconnected graph the limit concentrates on the component(s) of
     largest spectral radius; near-zero entries elsewhere are valid scores.
     """
+    _check_settings(ec_tol=tol, ec_max_iter=max_iter)
     n = g.node_count
     if g.edge_count == 0:
         raise ValueError("eigenvector centrality is undefined on an edgeless graph")
@@ -126,14 +157,13 @@ def closeness_centrality(
     all-sources BFS, so each score is the same double as a per-source BFS
     gives.
     """
-    _check_closeness(g, convention)
+    _check_settings(cc_convention=convention)
+    _check_closeness(g)
     scores = _closeness_at(g, np.arange(g.node_count), convention)
     return CentralityVector("CC", scores, {"convention": convention})
 
 
-def _check_closeness(g: Graph, convention: str) -> None:
-    if convention not in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
-        raise ValueError(f"unknown closeness convention {convention!r}")
+def _check_closeness(g: Graph) -> None:
     if g.node_count < 2:
         raise ValueError("closeness centrality requires at least 2 nodes")
 
@@ -261,14 +291,9 @@ def gravity_centrality(
     0.0 for out-of-radius nodes is exact), so scores are bitwise those of a
     per-source loop.
     """
-    _check_gravity(radius)
+    _check_settings(gc_radius=radius, gc_exponent=exponent)
     scores = _gravity_at(g, np.arange(g.node_count), radius, exponent)
     return CentralityVector("GC", scores, {"radius": radius, "exponent": exponent})
-
-
-def _check_gravity(radius: int) -> None:
-    if not _is_int(radius) or radius < 1:
-        raise ValueError("radius must be an integer >= 1")
 
 
 def _gravity_at(g: Graph, sources: np.ndarray, radius: int, exponent: int) -> np.ndarray:
@@ -292,64 +317,43 @@ def _gravity_at(g: Graph, sources: np.ndarray, radius: int, exponent: int) -> np
     return scores[sources]
 
 
-def compute_centrality(
-    g: Graph,
-    measure: str,
-    *,
-    cc_convention: str = CC_COMPONENT_SCALED,
-    ec_tol: float = 1e-8,
-    ec_max_iter: int = 1000,
-    bc_normalized: bool = True,
-    gc_radius: int = 3,
-    gc_exponent: int = 2,
-) -> CentralityVector:
-    """Dispatch a measure tag (case-insensitive) to its implementation."""
-    tag = measure.upper()
+def compute_centrality(g: Graph, measure: str, **settings) -> CentralityVector:
+    """Dispatch a measure tag (case-insensitive) to its implementation. The
+    tag and every setting (cc_convention, ec_tol, ec_max_iter, bc_normalized,
+    gc_radius, gc_exponent; defaults as in _check_settings) are checked
+    before any work, whichever measure reads them."""
+    s = _check_settings(**settings)
+    tag = _check_measure(measure)
     if tag == "DC":
         return degree_centrality(g)
     if tag == "EC":
-        return eigenvector_centrality(g, tol=ec_tol, max_iter=ec_max_iter)
+        return eigenvector_centrality(g, tol=s["ec_tol"], max_iter=s["ec_max_iter"])
     if tag == "CC":
-        return closeness_centrality(g, convention=cc_convention)
+        return closeness_centrality(g, convention=s["cc_convention"])
     if tag == "BC":
-        return betweenness_centrality(g, normalized=bc_normalized)
-    if tag == "GC":
-        return gravity_centrality(g, radius=gc_radius, exponent=gc_exponent)
-    raise ValueError(f"unknown measure {measure!r}")
+        return betweenness_centrality(g, normalized=s["bc_normalized"])
+    return gravity_centrality(g, radius=s["gc_radius"], exponent=s["gc_exponent"])
 
 
-def _scores_reader(
-    g: Graph,
-    measure: str,
-    *,
-    cc_convention: str = CC_COMPONENT_SCALED,
-    ec_tol: float = 1e-8,
-    ec_max_iter: int = 1000,
-    bc_normalized: bool = True,
-    gc_radius: int = 3,
-    gc_exponent: int = 2,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Check a measure's tag and settings, and return read, where read(nodes)
-    gives the measure's scores at ``nodes`` (distinct node ids), in that
-    order, as compute_centrality would.
+def _scores_reader(g: Graph, measure: str, **settings) -> Callable[[np.ndarray], np.ndarray]:
+    """Check the tag and every setting as compute_centrality does, and
+    return read, where read(nodes) gives the measure's scores at ``nodes``
+    (distinct node ids), in that order, as compute_centrality would.
 
     Nothing is computed until read is called. DC indexes the degrees, CC and
     GC search from ``nodes`` only, and EC and BC are computed in full; every
     score is bitwise the full vector's.
     """
-    tag = measure.upper()
+    s = _check_settings(**settings)
+    tag = _check_measure(measure)
     if tag == "DC":
         return lambda nodes: g.degrees()[nodes] / (g.node_count - 1)
     if tag == "CC":
-        _check_closeness(g, cc_convention)
-        return lambda nodes: _closeness_at(g, nodes, cc_convention)
+        _check_closeness(g)
+        return lambda nodes: _closeness_at(g, nodes, s["cc_convention"])
     if tag == "GC":
-        _check_gravity(gc_radius)
-        return lambda nodes: _gravity_at(g, nodes, gc_radius, gc_exponent)
-    if tag not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    settings = {"ec_tol": ec_tol, "ec_max_iter": ec_max_iter, "bc_normalized": bc_normalized}
-    return lambda nodes: compute_centrality(g, tag, **settings).scores[nodes]
+        return lambda nodes: _gravity_at(g, nodes, s["gc_radius"], s["gc_exponent"])
+    return lambda nodes: compute_centrality(g, tag, **s).scores[nodes]
 
 
 def write_centrality_csv(vectors: list[CentralityVector], stream) -> None:

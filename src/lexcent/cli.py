@@ -2,12 +2,13 @@
 
 Subcommands: centrality, sir, evaluate, bench, fetch, stats. Every run
 resolves its settings into a RunConfig (defaults < --config file < explicit
-flags), validates them up front, and once every result is computed writes
-the resolved config next to the outputs as run_config.json and emits
-deterministic CSV/JSON: identical configs (including rng_seed) produce
-byte-identical files. --threads is accepted and recorded in run_config.json
-but has no effect: every command runs in one thread. Errors exit nonzero
-with a single 'error: ...' line on stderr.
+flags) and validates every setting before the graph is loaded, each one
+the library reads with the library's own check and message. Once every
+result is computed it writes the resolved config next to the outputs as
+run_config.json and emits deterministic CSV/JSON: identical configs
+(including rng_seed) produce byte-identical files. --threads is accepted
+and recorded in run_config.json but has no effect: every command runs in
+one thread. Errors exit nonzero with a single 'error: ...' line on stderr.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from .centrality import (
     write_centrality_csv,
 )
 from .evaluation import EVAL_MEASURES, benchmark_runtime, evaluate_dataset, rank_vs_score_series
-from .graph import Graph, _is_int, dataset_stats, generate_barabasi_albert, load_edge_list
+from .graph import Graph, dataset_stats, generate_barabasi_albert, load_edge_list
 from .ranking import (
     DEFAULT_MEASURE_ORDER,
     DEFAULT_PRECISION,
     ROUND_HALF_EVEN_MODE,
     ROUNDING_MODES,
-    _check_measure_order,
     build_ranking_matrix,
     lexical_sort,
     lsc,
@@ -45,12 +45,17 @@ from .ranking import (
 )
 from .sir import (
     SirParams,
-    _check_seeds,
     score_all_nodes,
     spread_curve,
     write_curve_csv,
     write_scores_csv,
 )
+
+# the library's own checks, one per setting, which RunConfig.validate calls
+from .centrality import _check_measure, _check_settings
+from .evaluation import _TAU_VARIANTS, _check_repetitions, _check_tau_variant, _check_x_percent
+from .graph import _check_int
+from .ranking import _check_measure_order, _check_rounding, _check_top
 
 VALUE_MEASURES = tuple(tag.lower() for tag in MEASURES)
 
@@ -96,51 +101,30 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     def validate(self) -> None:
-        """Cheap precondition checks for every field, before any real work."""
-        if not _is_int(self.precision) or not 0 <= self.precision <= 15:
-            raise ValueError("precision must be an integer between 0 and 15")
-        if self.rounding not in ROUNDING_MODES:
-            raise ValueError(f"unknown rounding mode {self.rounding!r}")
-        known = set(VALUE_MEASURES) | {"lsc"}
-        for m in self.measures:
-            if m not in known and self.command != "fetch":
-                raise ValueError(f"unknown measure {m!r}")
-        for tag in self.measure_order:
-            if tag.lower() not in VALUE_MEASURES:
-                raise ValueError(f"unknown measure {tag!r} in measure order")
+        """Check every field before the graph is loaded: each setting the
+        library reads with the library's own check and message, and the
+        CLI-only fields (measures, seeds, seeds_from, threads) here."""
+        _check_rounding(self.precision, self.rounding)
         _check_measure_order(self.measure_order)
-        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if not _is_int(self.replications) or self.replications < 1:
-            raise ValueError("replications must be an integer >= 1")
-        if self.max_steps is not None and (not _is_int(self.max_steps) or self.max_steps < 0):
-            raise ValueError("steps must be an integer >= 0")
-        if not _is_int(self.rng_seed) or self.rng_seed < 0:
-            raise ValueError("seed must be an integer >= 0")
-        if self.seeds is not None and not all(_is_int(s) for s in self.seeds):
-            raise ValueError("seeds must be integer node ids")
-        if not 0.0 < self.x_percent <= 100.0:
-            raise ValueError("x-percent must be in (0, 100]")
-        if self.tau_variant not in ("a", "b"):
-            raise ValueError("tau variant must be 'a' or 'b'")
-        if self.cc_convention not in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
-            raise ValueError(f"unknown closeness convention {self.cc_convention!r}")
-        if not self.ec_tol > 0:
-            raise ValueError("ec-tol must be > 0")
-        if not _is_int(self.ec_max_iter) or self.ec_max_iter < 1:
-            raise ValueError("ec-max-iter must be an integer >= 1")
-        if not _is_int(self.gc_radius) or self.gc_radius < 1:
-            raise ValueError("gc-radius must be an integer >= 1")
-        if not _is_int(self.gc_exponent):
-            raise ValueError("gc-exponent must be an integer")
-        if not _is_int(self.threads) or self.threads < 1:
-            raise ValueError("threads must be an integer >= 1")
-        if not _is_int(self.repetitions) or self.repetitions < 1:
-            raise ValueError("reps must be an integer >= 1")
-        if not _is_int(self.top) or self.top < 1:
-            raise ValueError("top must be an integer >= 1")
+        _check_settings(**self.measure_settings())
+        _sir_params(self)
+        _check_x_percent(self.x_percent)
+        _check_tau_variant(self.tau_variant)
+        _check_repetitions(self.repetitions)
+        _check_top(self.top)
+        if self.command != "fetch":
+            for m in self.measures:
+                if m != "lsc":
+                    _check_measure(m)
+        if self.seeds is not None:
+            for seed in self.seeds:
+                _check_int("seed id", seed)
+        if self.command == "sir" and (self.seeds is not None or self.seeds_from is not None):
+            if self.max_steps is None:
+                raise ValueError("curve mode requires --steps")
+            if self.seeds is None and self.seeds_from.lower() not in ("lsc", *VALUE_MEASURES):
+                raise ValueError(f"unknown --seeds-from measure {self.seeds_from!r}")
+        _check_int("threads", self.threads, 1)
 
     def measure_settings(self) -> dict:
         return {
@@ -150,6 +134,11 @@ class RunConfig:
             "gc_radius": self.gc_radius,
             "gc_exponent": self.gc_exponent,
         }
+
+    def _lsc_settings(self) -> dict:
+        """The keywords that lsc, evaluate_dataset and benchmark_runtime share."""
+        return {"precision": self.precision, "measure_order": self.measure_order,
+                "rounding": self.rounding, **self.measure_settings()}
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -193,11 +182,15 @@ def _load_graph(config: RunConfig) -> Graph:
 
 
 def _sir_params(config: RunConfig) -> SirParams:
+    """The SIR settings; beta falls back to the dataset's default. sir and
+    evaluate need a beta; other commands check the rest with beta 0."""
     beta = config.beta
     if beta is None and config.dataset:
         beta = datasets.default_beta(config.dataset)
     if beta is None:
-        raise ValueError("--beta is required (no dataset default applies)")
+        if config.command in ("sir", "evaluate"):
+            raise ValueError("--beta is required (no dataset default applies)")
+        beta = 0.0
     return SirParams(
         beta=beta,
         gamma=config.gamma,
@@ -266,44 +259,29 @@ def cmd_centrality(config: RunConfig) -> None:
 def cmd_sir(config: RunConfig) -> None:
     g = _load_graph(config)
     params = _sir_params(config)
-    curve_mode = config.seeds is not None or config.seeds_from is not None
-    if curve_mode:
-        if params.max_steps is None:
-            raise ValueError("curve mode requires --steps")
-        if config.seeds is not None:
-            _check_seeds(g, config.seeds)
-        elif config.seeds_from.lower() not in ("lsc", *VALUE_MEASURES):
-            raise ValueError(f"unknown --seeds-from measure {config.seeds_from!r}")
-        if config.seeds is not None:
-            seeds = list(config.seeds)
-            tag = "seeds"
-        else:
-            source = config.seeds_from.lower()
-            if source == "lsc":
-                ranking = lsc(
-                    g,
-                    precision=config.precision,
-                    measure_order=config.measure_order,
-                    rounding=config.rounding,
-                    top=config.top,
-                    **config.measure_settings(),
-                )
-            else:
-                vec = compute_centrality(g, source, **config.measure_settings())
-                ranking = ranking_from_scores(vec.scores, source.upper())
-            seeds = list(ranking.ordered_nodes[: config.top])
-            tag = source
-        result = spread_curve(g, seeds, params)
-        out = _outdir(config)
-        _write_labels(g, out)
-        _write(out / f"sir_curve_{tag}.csv", lambda s: write_curve_csv(result, s))
-        print(f"wrote spread curve for seeds {seeds} to {out}")
-    else:
+    if config.seeds is None and config.seeds_from is None:
         results = score_all_nodes(g, params)
         out = _outdir(config)
         _write_labels(g, out)
         _write(out / "sir_scores.csv", lambda s: write_scores_csv(results, s))
         print(f"wrote per-node SIR scores for {_dataset_tag(config)} to {out}")
+        return
+    if config.seeds is not None:
+        seeds = list(config.seeds)
+        tag = "seeds"
+    else:
+        tag = config.seeds_from.lower()
+        if tag == "lsc":
+            ranking = lsc(g, top=config.top, **config._lsc_settings())
+        else:
+            vec = compute_centrality(g, tag, **config.measure_settings())
+            ranking = ranking_from_scores(vec.scores, tag.upper())
+        seeds = list(ranking.ordered_nodes[: config.top])
+    result = spread_curve(g, seeds, params)
+    out = _outdir(config)
+    _write_labels(g, out)
+    _write(out / f"sir_curve_{tag}.csv", lambda s: write_curve_csv(result, s))
+    print(f"wrote spread curve for seeds {seeds} to {out}")
 
 
 def cmd_evaluate(config: RunConfig) -> None:
@@ -314,10 +292,7 @@ def cmd_evaluate(config: RunConfig) -> None:
         x_percent=config.x_percent,
         dataset=_dataset_tag(config),
         tau_variant=config.tau_variant,
-        precision=config.precision,
-        measure_order=config.measure_order,
-        rounding=config.rounding,
-        **config.measure_settings(),
+        **config._lsc_settings(),
     )
     # rank-vs-score series per measure (plot-ready), plus inversion summary
     series = {
@@ -350,13 +325,7 @@ def cmd_evaluate(config: RunConfig) -> None:
 def cmd_bench(config: RunConfig) -> None:
     g = _load_graph(config)
     result = benchmark_runtime(
-        g,
-        config.measures,
-        repetitions=config.repetitions,
-        precision=config.precision,
-        measure_order=config.measure_order,
-        rounding=config.rounding,
-        **config.measure_settings(),
+        g, config.measures, repetitions=config.repetitions, **config._lsc_settings()
     )
     out = _outdir(config)
 
@@ -492,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure_args(p)
     _add_sir_args(p)
     p.add_argument("--x-percent", dest="x_percent", type=float, help="top-x%% cutoff")
-    p.add_argument("--tau-variant", dest="tau_variant", choices=["a", "b"])
+    p.add_argument("--tau-variant", dest="tau_variant", choices=_TAU_VARIANTS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="runtime benchmark of measures")

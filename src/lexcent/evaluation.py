@@ -15,13 +15,14 @@ from typing import IO, Sequence
 import numpy as np
 
 from .centrality import MEASURES, compute_centrality
-from .graph import Graph
+from .graph import Graph, _check_int
 from .ranking import (
     DEFAULT_MEASURE_ORDER,
     DEFAULT_PRECISION,
     ROUND_HALF_EVEN_MODE,
     NodeRanking,
     _check_measure_order,
+    _check_rounding,
     build_ranking_matrix,
     lexical_sort,
     lsc,
@@ -30,6 +31,7 @@ from .ranking import (
 from .sir import SirParams, SirResult, mean_scores, score_all_nodes
 
 EVAL_MEASURES = ("DC", "EC", "CC", "BC", "GC", "LSC")
+_TAU_VARIANTS = ("a", "b")
 
 
 def _tie_pair_count(values: np.ndarray) -> int:
@@ -75,13 +77,17 @@ def _tau_from_counts(
     numerator = concordant - discordant
     if variant == "a":
         return numerator / pairs
-    if variant == "b":
-        denom = math.sqrt((pairs - ties_a) * (pairs - ties_b))
-        return numerator / denom if denom else math.nan
-    raise ValueError(f"unknown tau variant {variant!r}")
+    denom = math.sqrt((pairs - ties_a) * (pairs - ties_b))
+    return numerator / denom if denom else math.nan
 
 
-def _validate_tau_inputs(a: Sequence[float], b: Sequence[float]) -> int:
+def _check_tau_variant(variant: str) -> None:
+    if variant not in _TAU_VARIANTS:
+        raise ValueError(f"unknown tau variant {variant!r}")
+
+
+def _validate_tau_inputs(a: Sequence[float], b: Sequence[float], variant: str) -> int:
+    _check_tau_variant(variant)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
@@ -98,7 +104,7 @@ def kendall_tau(a: Sequence[float], b: Sequence[float], variant: str = "a") -> f
     |tau|; variant "b" rescales by the tie-corrected denominator (NaN when
     either list is constant).
     """
-    n = _validate_tau_inputs(a, b)
+    n = _validate_tau_inputs(a, b, variant)
     pairs = n * (n - 1) // 2
     a, b = np.asarray(a), np.asarray(b)
     # sorting secondarily by b puts tied-a runs in ascending b order, so the
@@ -117,7 +123,7 @@ def kendall_tau_pairwise(
     a: Sequence[float], b: Sequence[float], variant: str = "a"
 ) -> float:
     """Reference O(N^2) Kendall tau; must agree exactly with kendall_tau."""
-    n = _validate_tau_inputs(a, b)
+    n = _validate_tau_inputs(a, b, variant)
     pairs = n * (n - 1) // 2
     concordant = discordant = ties_a = ties_b = 0
     for i in range(n):
@@ -137,11 +143,15 @@ def kendall_tau_pairwise(
     return _tau_from_counts(concordant, discordant, pairs, ties_a, ties_b, variant)
 
 
+def _check_x_percent(x_percent: float) -> None:
+    if not 0 < x_percent <= 100:
+        raise ValueError(f"x_percent must be in (0, 100], got {x_percent!r}")
+
+
 def top_x_size(node_count: int, x_percent: float) -> int:
     """k = floor(n * x_percent / 100), the size of a top-x% set; an error
     unless it selects at least one node."""
-    if not 0 < x_percent <= 100:
-        raise ValueError("x_percent must be in (0, 100]")
+    _check_x_percent(x_percent)
     k = int(node_count * x_percent / 100.0)
     if k == 0:
         raise ValueError(f"x_percent={x_percent} selects 0 of {node_count} nodes")
@@ -193,6 +203,10 @@ class BenchmarkResult:
     metadata: dict
 
 
+def _check_repetitions(repetitions: int) -> None:
+    _check_int("repetitions", repetitions, 1)
+
+
 def benchmark_runtime(
     g: Graph,
     measures: Sequence[str],
@@ -209,8 +223,7 @@ def benchmark_runtime(
     only for the nodes the earlier ones leave tied), the rounding of the
     values it reads, and the sort.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_repetitions(repetitions)
     runs: dict[str, list[float]] = {}
     for tag in (t.upper() for t in measures):
         if tag == "LSC":
@@ -306,14 +319,13 @@ def evaluate_dataset(
     vectors in ``measure_order``, computes Monte-Carlo SIR spreading scores
     for every node, and per measure: Kendall tau between the measure's values
     and the SIR scores (LSC contributes negated rank positions), and the
-    top-x% overlap against the SIR top-k. An empty top-x set is rejected
-    before any centrality or SIR work. The six rankings, the SIR results and
-    their mean scores are returned on the report's ``rankings``,
-    ``sir_results`` and ``ground_truth``.
+    top-x% overlap against the SIR top-k. Every setting, and an empty top-x
+    set, is rejected before any centrality or SIR work. The six rankings, the
+    SIR results and their mean scores are returned on the report's
+    ``rankings``, ``sir_results`` and ``ground_truth``.
     """
-    unknown = [tag for tag in measure_order if tag.upper() not in MEASURES]
-    if unknown:
-        raise ValueError(f"unknown measure {unknown[0]!r}")
+    _check_tau_variant(tau_variant)
+    _check_rounding(precision, rounding)
     _check_measure_order(measure_order)
     if g.node_count < 2:
         raise ValueError("evaluation requires at least 2 nodes")

@@ -29,6 +29,16 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
+    """Raise a ValueError naming ``name`` unless value is an integer (see
+    _is_int) within the bounds given; a maximum comes with a minimum."""
+    if not (_is_int(value) and (minimum is None or value >= minimum)
+            and (maximum is None or value <= maximum)):
+        bound = f" between {minimum} and {maximum}" if maximum is not None else (
+            "" if minimum is None else f" >= {minimum}")
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 class EdgeListParseError(ValueError):
     """Malformed edge-list input; carries the offending 1-based line number."""
 

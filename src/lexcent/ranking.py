@@ -16,8 +16,8 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .centrality import CentralityVector, _scores_reader
-from .graph import Graph, _is_int
+from .centrality import CentralityVector, _check_measure, _scores_reader
+from .graph import Graph, _check_int
 
 ROUND_HALF_EVEN_MODE = "half_even"
 ROUND_TRUNCATE_MODE = "truncate"
@@ -52,19 +52,29 @@ def _scaled_int(value: float, precision: int, rounding: str) -> int:
     return int(Decimal(repr(float(value))).scaleb(precision).to_integral_value(mode))
 
 
-def _check_rounding(precision: int, rounding: str) -> None:
+def _check_rounding(precision: int, rounding: str) -> int:
+    """The precision as a Python int, once the rounding mode is known and
+    the precision is an integer number of decimal places in 0..15."""
     if rounding not in ROUNDING_MODES:
         raise ValueError(f"unknown rounding mode {rounding!r}")
-    if not 0 <= precision <= 15:
-        raise ValueError("precision must be between 0 and 15 decimal places")
+    _check_int("precision", precision, 0, 15)
+    return int(precision)
 
 
-def _check_measure_order(measure_order: Sequence[str]) -> None:
-    """Reject a measure named twice (case-insensitively) in measure_order."""
-    tags = [tag.upper() for tag in measure_order]
+def _check_measure_order(measure_order: Sequence[str]) -> list[str]:
+    """The order's tags, upper-cased; an empty order, an unknown measure or
+    one named twice (case-insensitively) is a ValueError."""
+    if not measure_order:
+        raise ValueError("at least one centrality measure is required")
+    tags = [_check_measure(tag) for tag in measure_order]
     repeated = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
     if repeated:
         raise ValueError(f"measure {repeated[0]!r} is repeated in the measure order")
+    return tags
+
+
+def _check_top(top: int) -> None:
+    _check_int("top", top, 1)
 
 
 def _scaled_column(scores, measure: str, precision: int, rounding: str) -> np.ndarray:
@@ -96,9 +106,7 @@ def build_ranking_matrix(
     half-to-even by default, or plain truncation toward zero. A score whose
     scaled integer does not fit int64 is a ValueError naming the measure.
     """
-    if not vectors:
-        raise ValueError("at least one centrality vector is required")
-    _check_rounding(precision, rounding)
+    precision = _check_rounding(precision, rounding)
     _check_measure_order([vec.measure for vec in vectors])
     n = len(vectors[0].scores)
     for vec in vectors:
@@ -194,24 +202,22 @@ def lsc(
     an edgeless graph, say) and the int64 overflow ValueError. Values it
     never reads are neither computed nor rounded (build_ranking_matrix, in
     contrast, rounds every value it is given). params are lexical_sort's:
-    measure_order, precision and rounding. Extra keyword settings are passed
-    through to the measure implementations (cc_convention, ec_tol,
-    ec_max_iter, gc_radius, gc_exponent, ...).
+    measure_order, precision and rounding. Extra keyword settings
+    (cc_convention, ec_tol, ec_max_iter, gc_radius, gc_exponent, ...) are
+    checked before any work, as every other setting is, and passed through
+    to the measure implementations.
     """
     if g.node_count < 2:
         raise ValueError("lsc requires at least 2 nodes")
-    if not measure_order:
-        raise ValueError("at least one centrality measure is required")
-    if top is not None and (not _is_int(top) or top < 1):
-        raise ValueError("top must be an integer >= 1")
-    _check_rounding(precision, rounding)
-    _check_measure_order(measure_order)
-    tags = [tag.upper() for tag in measure_order]
+    if top is not None:
+        _check_top(top)
+    precision = _check_rounding(precision, rounding)
+    tags = _check_measure_order(measure_order)
 
     def column(tag: str, read) -> Callable[[np.ndarray], np.ndarray]:
         return lambda nodes: _scaled_column(read(nodes), tag, precision, rounding)
 
-    readers = [_scores_reader(g, tag, **measure_settings) for tag in measure_order]
+    readers = [_scores_reader(g, tag, **measure_settings) for tag in tags]
     order = _tie_order(g.node_count, list(map(column, tags, readers)), top)
     return _lsc_ranking(order, tags, precision, rounding)
 

@@ -43,7 +43,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _edge_endpoints, _is_int, _min_labels
+from .graph import Graph, _check_int, _edge_endpoints, _is_int, _min_labels
 
 SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
 
@@ -61,12 +61,10 @@ class SirParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not _is_int(self.replications) or self.replications < 1:
-            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
-        if self.max_steps is not None and (not _is_int(self.max_steps) or self.max_steps < 0):
-            raise ValueError(f"max_steps must be an integer >= 0, got {self.max_steps!r}")
-        if not _is_int(self.rng_seed) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+        _check_int("replications", self.replications, 1)
+        if self.max_steps is not None:
+            _check_int("max_steps", self.max_steps, 0)
+        _check_int("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,13 @@ import pytest
 import lexcent.centrality
 import lexcent.cli
 import lexcent.evaluation
+from lexcent.centrality import compute_centrality, eigenvector_centrality, gravity_centrality
 from lexcent.cli import main
 from lexcent.datasets import dataset_path
+from lexcent.evaluation import benchmark_runtime, evaluate_dataset, kendall_tau
+from lexcent.graph import from_edges
+from lexcent.ranking import build_ranking_matrix, lsc
+from lexcent.sir import SirParams
 
 
 def run(argv):
@@ -311,7 +316,8 @@ def test_bad_precision_fails_before_any_work(
         ]
     )
     assert code == 2
-    assert flag.lstrip("-") in capsys.readouterr().err
+    # the message names the setting's keyword, which is also its config-file key
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # rejected before outputs were touched
 
 
@@ -536,3 +542,79 @@ def test_non_integer_settings_fail_before_any_work(small_graph_file, tmp_path, c
     assert run(argv) == 2
     assert "integer" in capsys.readouterr().err
     assert not out.exists()  # rejected before outputs were touched
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["sir"], {}, "--beta is required (no dataset default applies)"),
+        (["sir", "--beta", "0.5", "--seeds", "0,1"], {}, "curve mode requires --steps"),
+        (["sir", "--beta", "0.5", "--seeds-from", "pagerank", "--steps", "3"], {},
+         "unknown --seeds-from measure 'pagerank'"),
+        (["evaluate", "--beta", "0.5"], {"measure_order": []},
+         "at least one centrality measure is required"),
+    ],
+    ids=["no-beta", "curve-without-steps", "unknown-seeds-from", "empty-measure-order"],
+)
+def test_config_errors_come_before_the_graph_loads(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    argv = [*argv, "--graph", str(tmp_path / "missing.txt"), "--config", str(cfg),
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"  # not "graph file not found"
+    assert not out.exists()
+
+
+def _small_graph():
+    return from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
+
+
+# (setting, bad value, the library call that reads the setting)
+SETTING_PARITY = [
+    ("ec_tol", 0, lambda g: eigenvector_centrality(g, tol=0)),
+    ("ec_max_iter", 2.5, lambda g: eigenvector_centrality(g, max_iter=2.5)),
+    ("gc_radius", 0, lambda g: gravity_centrality(g, radius=0)),
+    ("gc_exponent", 1.5, lambda g: gravity_centrality(g, exponent=1.5)),
+    ("cc_convention", "bogus", lambda g: compute_centrality(g, "CC", cc_convention="bogus")),
+    ("repetitions", 1.5, lambda g: benchmark_runtime(g, ["dc"], repetitions=1.5)),
+    ("precision", True, lambda g: lsc(g, precision=True)),
+    ("precision", 16, lambda g: build_ranking_matrix([compute_centrality(g, "DC")], 16)),
+    ("rounding", "up", lambda g: lsc(g, rounding="up")),
+    ("measure_order", [], lambda g: lsc(g, measure_order=[])),
+    ("measure_order", ["DC", "XX"], lambda g: lsc(g, measure_order=["DC", "XX"])),
+    ("top", 0, lambda g: lsc(g, top=0)),
+    ("x_percent", 0, lambda g: evaluate_dataset(g, SirParams(beta=0.5), x_percent=0)),
+    ("tau_variant", "c", lambda g: kendall_tau([1, 2], [2, 1], variant="c")),
+    ("beta", 1.5, lambda g: SirParams(beta=1.5)),
+    ("gamma", 0, lambda g: SirParams(beta=0.5, gamma=0)),
+    ("replications", 0, lambda g: SirParams(beta=0.5, replications=0)),
+    ("max_steps", 2.5, lambda g: SirParams(beta=0.5, max_steps=2.5)),
+    ("rng_seed", -1, lambda g: SirParams(beta=0.5, rng_seed=-1)),
+]
+
+
+@pytest.mark.parametrize(
+    "setting,value,library_call",
+    SETTING_PARITY,
+    ids=[f"{setting}={value!r}" for setting, value, _ in SETTING_PARITY],
+)
+def test_cli_and_library_reject_a_setting_with_one_message(
+    small_graph_file, tmp_path, capsys, monkeypatch, setting, value, library_call
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr(lexcent.cli, "_load_graph", no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": 0.5, setting: value}))
+    out = tmp_path / "o"
+    argv = ["evaluate", "--graph", str(small_graph_file), "--config", str(cfg),
+            "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError) as raised:
+        library_call(_small_graph())
+    assert err == f"error: {raised.value}\n"

@@ -249,6 +249,19 @@ def test_evaluate_rejects_empty_top_x_before_ground_truth():
     assert sir.call_count == 0 and centrality.call_count == 0
 
 
+def test_bad_tau_variant_is_rejected_before_any_work():
+    params = SirParams(beta=0.2, gamma=1.0, replications=10, rng_seed=1)
+    with mock.patch.object(lexcent.evaluation, "score_all_nodes") as sir, \
+            mock.patch.object(lexcent.evaluation, "compute_centrality") as centrality:
+        with pytest.raises(ValueError, match="unknown tau variant 'c'"):
+            evaluate_dataset(star_graph(9), params, x_percent=20, tau_variant="c")
+    assert sir.call_count == 0 and centrality.call_count == 0
+    with mock.patch.object(lexcent.evaluation, "_merge_count_inversions") as merge:
+        with pytest.raises(ValueError, match="unknown tau variant 'c'"):
+            kendall_tau([1, 2, 3], [3, 1, 2], variant="c")
+    assert merge.call_count == 0
+
+
 def test_evaluate_report_carries_its_ground_truth():
     g = star_graph(4)
     params = SirParams(beta=0.3, gamma=1.0, replications=40, rng_seed=3)

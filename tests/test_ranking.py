@@ -122,6 +122,27 @@ def test_matrix_validation():
         build_ranking_matrix(twice, 5)
 
 
+def test_numpy_integer_precision_equals_the_python_int():
+    g = load_dataset("karate")
+    vectors = [compute_centrality(g, tag) for tag in ("DC", "EC", "CC")]
+    a, b = lsc(g, precision=3), lsc(g, precision=np.int64(3))
+    assert a.ordered_nodes == b.ordered_nodes and a.params == b.params
+    assert type(b.params["precision"]) is int and b.params["precision"] == 3
+    rm = build_ranking_matrix(vectors, np.int64(3))
+    assert np.array_equal(rm.scaled, build_ranking_matrix(vectors, 3).scaled)
+    assert type(rm.precision) is int and rm.precision == 3
+    assert lexical_sort(rm) == a
+
+
+@pytest.mark.parametrize("precision", [True, 2.5])
+def test_non_integer_precision_is_rejected(precision):
+    g = star_graph(4)
+    with pytest.raises(ValueError, match="precision"):
+        lsc(g, precision=precision)
+    with pytest.raises(ValueError, match="precision"):
+        build_ranking_matrix([compute_centrality(g, "DC")], precision)
+
+
 def test_matrix_rejects_scores_beyond_int64_at_the_precision():
     # 37613.9 x 10^15 does not fit int64; 9.2 x 10^15 does
     vecs = vectors_from_columns([0.5, 1.0], [2.0, 37613.9])
