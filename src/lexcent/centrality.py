@@ -14,12 +14,15 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _bfs_blocks, _check_int, _source_bits, connected_components, k_shell
+from .graph import (
+    Graph, _bfs_blocks, _check_int, _check_real, _source_bits, connected_components, k_shell
+)
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
 
 CC_COMPONENT_SCALED = "component_scaled"
 CC_PAPER_LITERAL = "paper_literal"
+CC_CONVENTIONS = (CC_COMPONENT_SCALED, CC_PAPER_LITERAL)
 
 
 class PowerIterationError(RuntimeError):
@@ -54,26 +57,26 @@ def _check_measure(measure: str) -> str:
     return tag
 
 
-def _check_settings(
-    cc_convention: str = CC_COMPONENT_SCALED,
-    ec_tol: float = 1e-8,
-    ec_max_iter: int = 1000,
-    bc_normalized: bool = True,
-    gc_radius: int = 3,
-    gc_exponent: int = 2,
-) -> dict:
-    """The measure settings with their defaults filled in, once each one is
-    checked; an unknown setting is a TypeError. compute_centrality, the LSC
-    readers and the CLI all check settings here, before any work."""
-    settings = dict(locals())
-    if cc_convention not in (CC_COMPONENT_SCALED, CC_PAPER_LITERAL):
-        raise ValueError(f"unknown closeness convention {cc_convention!r}")
-    if not ec_tol > 0:
-        raise ValueError(f"ec_tol must be > 0, got {ec_tol!r}")
-    _check_int("ec_max_iter", ec_max_iter, 1)
-    _check_int("gc_radius", gc_radius, 1)
-    _check_int("gc_exponent", gc_exponent)
-    return settings
+@dataclass(frozen=True)
+class _MeasureSettings:
+    """The measure settings, each default written here once. Building one
+    checks every setting (an unknown one is a TypeError); compute_centrality,
+    the LSC readers and the CLI all check settings here, before any work."""
+
+    cc_convention: str = CC_COMPONENT_SCALED
+    ec_tol: float = 1e-8
+    ec_max_iter: int = 1000
+    bc_normalized: bool = True
+    gc_radius: int = 3
+    gc_exponent: int = 2
+
+    def __post_init__(self):
+        if self.cc_convention not in CC_CONVENTIONS:
+            raise ValueError(f"unknown closeness convention {self.cc_convention!r}")
+        _check_real("ec_tol", self.ec_tol, 0)
+        _check_int("ec_max_iter", self.ec_max_iter, 1)
+        _check_int("gc_radius", self.gc_radius, 1)
+        _check_int("gc_exponent", self.gc_exponent)
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
@@ -85,7 +88,7 @@ def degree_centrality(g: Graph) -> CentralityVector:
 
 
 def eigenvector_centrality(
-    g: Graph, tol: float = 1e-8, max_iter: int = 1000
+    g: Graph, tol: float = _MeasureSettings.ec_tol, max_iter: int = _MeasureSettings.ec_max_iter
 ) -> CentralityVector:
     """Dominant-eigenvector scores by power iteration.
 
@@ -100,7 +103,7 @@ def eigenvector_centrality(
     On a disconnected graph the limit concentrates on the component(s) of
     largest spectral radius; near-zero entries elsewhere are valid scores.
     """
-    _check_settings(ec_tol=tol, ec_max_iter=max_iter)
+    _MeasureSettings(ec_tol=tol, ec_max_iter=max_iter)
     n = g.node_count
     if g.edge_count == 0:
         raise ValueError("eigenvector centrality is undefined on an edgeless graph")
@@ -144,7 +147,7 @@ def eigenvector_centrality(
 
 
 def closeness_centrality(
-    g: Graph, convention: str = CC_COMPONENT_SCALED
+    g: Graph, convention: str = _MeasureSettings.cc_convention
 ) -> CentralityVector:
     """Closeness from exact BFS distances.
 
@@ -157,7 +160,7 @@ def closeness_centrality(
     all-sources BFS, so each score is the same double as a per-source BFS
     gives.
     """
-    _check_settings(cc_convention=convention)
+    _MeasureSettings(cc_convention=convention)
     _check_closeness(g)
     scores = _closeness_at(g, np.arange(g.node_count), convention)
     return CentralityVector("CC", scores, {"convention": convention})
@@ -190,7 +193,9 @@ def _closeness_at(g: Graph, sources: np.ndarray, convention: str) -> np.ndarray:
     return scores
 
 
-def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVector:
+def betweenness_centrality(
+    g: Graph, normalized: bool = _MeasureSettings.bc_normalized
+) -> CentralityVector:
     """Exact shortest-path betweenness by Brandes' dependency accumulation,
     run level-synchronously from each source.
 
@@ -277,7 +282,9 @@ def betweenness_centrality(g: Graph, normalized: bool = True) -> CentralityVecto
 
 
 def gravity_centrality(
-    g: Graph, radius: int = 3, exponent: int = 2
+    g: Graph,
+    radius: int = _MeasureSettings.gc_radius,
+    exponent: int = _MeasureSettings.gc_exponent,
 ) -> CentralityVector:
     """Gravity-style influence: sum of ks_i * ks_j / d(i,j)^exponent over every
     node j within ``radius`` hops of i, with ks the k-shell index.
@@ -291,7 +298,7 @@ def gravity_centrality(
     0.0 for out-of-radius nodes is exact), so scores are bitwise those of a
     per-source loop.
     """
-    _check_settings(gc_radius=radius, gc_exponent=exponent)
+    _MeasureSettings(gc_radius=radius, gc_exponent=exponent)
     scores = _gravity_at(g, np.arange(g.node_count), radius, exponent)
     return CentralityVector("GC", scores, {"radius": radius, "exponent": exponent})
 
@@ -320,19 +327,19 @@ def _gravity_at(g: Graph, sources: np.ndarray, radius: int, exponent: int) -> np
 def compute_centrality(g: Graph, measure: str, **settings) -> CentralityVector:
     """Dispatch a measure tag (case-insensitive) to its implementation. The
     tag and every setting (cc_convention, ec_tol, ec_max_iter, bc_normalized,
-    gc_radius, gc_exponent; defaults as in _check_settings) are checked
+    gc_radius, gc_exponent; defaults as in _MeasureSettings) are checked
     before any work, whichever measure reads them."""
-    s = _check_settings(**settings)
+    s = _MeasureSettings(**settings)
     tag = _check_measure(measure)
     if tag == "DC":
         return degree_centrality(g)
     if tag == "EC":
-        return eigenvector_centrality(g, tol=s["ec_tol"], max_iter=s["ec_max_iter"])
+        return eigenvector_centrality(g, tol=s.ec_tol, max_iter=s.ec_max_iter)
     if tag == "CC":
-        return closeness_centrality(g, convention=s["cc_convention"])
+        return closeness_centrality(g, convention=s.cc_convention)
     if tag == "BC":
-        return betweenness_centrality(g, normalized=s["bc_normalized"])
-    return gravity_centrality(g, radius=s["gc_radius"], exponent=s["gc_exponent"])
+        return betweenness_centrality(g, normalized=s.bc_normalized)
+    return gravity_centrality(g, radius=s.gc_radius, exponent=s.gc_exponent)
 
 
 def _scores_reader(g: Graph, measure: str, **settings) -> Callable[[np.ndarray], np.ndarray]:
@@ -344,16 +351,16 @@ def _scores_reader(g: Graph, measure: str, **settings) -> Callable[[np.ndarray],
     GC search from ``nodes`` only, and EC and BC are computed in full; every
     score is bitwise the full vector's.
     """
-    s = _check_settings(**settings)
+    s = _MeasureSettings(**settings)
     tag = _check_measure(measure)
     if tag == "DC":
         return lambda nodes: g.degrees()[nodes] / (g.node_count - 1)
     if tag == "CC":
         _check_closeness(g)
-        return lambda nodes: _closeness_at(g, nodes, s["cc_convention"])
+        return lambda nodes: _closeness_at(g, nodes, s.cc_convention)
     if tag == "GC":
-        return lambda nodes: _gravity_at(g, nodes, s["gc_radius"], s["gc_exponent"])
-    return lambda nodes: compute_centrality(g, tag, **s).scores[nodes]
+        return lambda nodes: _gravity_at(g, nodes, s.gc_radius, s.gc_exponent)
+    return lambda nodes: compute_centrality(g, tag, **settings).scores[nodes]
 
 
 def write_centrality_csv(vectors: list[CentralityVector], stream) -> None:

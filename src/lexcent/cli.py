@@ -2,13 +2,15 @@
 
 Subcommands: centrality, sir, evaluate, bench, fetch, stats. Every run
 resolves its settings into a RunConfig (defaults < --config file < explicit
-flags) and validates every setting before the graph is loaded, each one
-the library reads with the library's own check and message. Once every
-result is computed it writes the resolved config next to the outputs as
-run_config.json and emits deterministic CSV/JSON: identical configs
-(including rng_seed) produce byte-identical files. --threads is accepted
-and recorded in run_config.json but has no effect: every command runs in
-one thread. Errors exit nonzero with a single 'error: ...' line on stderr.
+flags) and validates every setting before the graph is loaded. A setting
+the library reads takes the library's default and is checked by the
+library's own rule, so a flag and a config key fail with the same message.
+Once every result is computed it writes the resolved config next to the
+outputs as run_config.json and emits deterministic CSV/JSON: identical
+configs (including rng_seed) produce byte-identical files. --threads is
+accepted and recorded in run_config.json but has no effect: every command
+runs in one thread. Errors exit nonzero with a single 'error: ...' line on
+stderr.
 """
 
 from __future__ import annotations
@@ -21,13 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import datasets
-from .centrality import (
-    CC_COMPONENT_SCALED,
-    CC_PAPER_LITERAL,
-    MEASURES,
-    compute_centrality,
-    write_centrality_csv,
-)
+from .centrality import CC_CONVENTIONS, MEASURES, compute_centrality, write_centrality_csv
+from .evaluation import DEFAULT_REPETITIONS, DEFAULT_TAU_VARIANT, DEFAULT_X_PERCENT
 from .evaluation import EVAL_MEASURES, benchmark_runtime, evaluate_dataset, rank_vs_score_series
 from .graph import Graph, dataset_stats, generate_barabasi_albert, load_edge_list
 from .ranking import (
@@ -52,13 +49,10 @@ from .sir import (
 )
 
 # the library's own checks, one per setting, which RunConfig.validate calls
-from .centrality import _check_measure, _check_settings
+from .centrality import _check_measure, _MeasureSettings
 from .evaluation import _TAU_VARIANTS, _check_repetitions, _check_tau_variant, _check_x_percent
-from .graph import _check_int
+from .graph import _check_barabasi_albert, _check_int
 from .ranking import _check_measure_order, _check_rounding, _check_top
-
-VALUE_MEASURES = tuple(tag.lower() for tag in MEASURES)
-
 
 @dataclass
 class RunConfig:
@@ -70,14 +64,14 @@ class RunConfig:
     graph: str | None = None            # edge-list path
     generate: str | None = None         # "ba:<n>:<m>:<seed>"
     relabel: bool = True
-    data_dir: str = "data"
+    data_dir: str = str(datasets.DEFAULT_DATA_DIR)
     output_dir: str = "out"
     measures: list[str] = dataclasses.field(default_factory=lambda: ["lsc"])
     beta: float | None = None
-    gamma: float = 1.0
-    replications: int = 1000
-    rng_seed: int = 0
-    max_steps: int | None = None
+    gamma: float = SirParams.gamma
+    replications: int = SirParams.replications
+    rng_seed: int = SirParams.rng_seed
+    max_steps: int | None = SirParams.max_steps
     seeds: list[int] | None = None
     seeds_from: str | None = None
     top: int = 10
@@ -86,14 +80,14 @@ class RunConfig:
         default_factory=lambda: list(DEFAULT_MEASURE_ORDER)
     )
     rounding: str = ROUND_HALF_EVEN_MODE
-    cc_convention: str = CC_COMPONENT_SCALED
-    ec_tol: float = 1e-8
-    ec_max_iter: int = 1000
-    gc_radius: int = 3
-    gc_exponent: int = 2
-    x_percent: float = 5.0
-    tau_variant: str = "a"
-    repetitions: int = 1
+    cc_convention: str = _MeasureSettings.cc_convention
+    ec_tol: float = _MeasureSettings.ec_tol
+    ec_max_iter: int = _MeasureSettings.ec_max_iter
+    gc_radius: int = _MeasureSettings.gc_radius
+    gc_exponent: int = _MeasureSettings.gc_exponent
+    x_percent: float = DEFAULT_X_PERCENT
+    tau_variant: str = DEFAULT_TAU_VARIANT
+    repetitions: int = DEFAULT_REPETITIONS
     threads: int = 1
     force: bool = False
 
@@ -103,15 +97,20 @@ class RunConfig:
     def validate(self) -> None:
         """Check every field before the graph is loaded: each setting the
         library reads with the library's own check and message, and the
-        CLI-only fields (measures, seeds, seeds_from, threads) here."""
+        CLI-only fields (measures, seeds, seeds_from, threads, the graph
+        source) here. Leaves the measure order upper-cased and the measures
+        lower-cased."""
         _check_rounding(self.precision, self.rounding)
-        _check_measure_order(self.measure_order)
-        _check_settings(**self.measure_settings())
+        self.measure_order = _check_measure_order(self.measure_order)
+        _MeasureSettings(**self.measure_settings())
         _sir_params(self)
         _check_x_percent(self.x_percent)
         _check_tau_variant(self.tau_variant)
         _check_repetitions(self.repetitions)
         _check_top(self.top)
+        if isinstance(self.measures, str):
+            raise ValueError(f"measures must be a list of measures, got {self.measures!r}")
+        self.measures = [m.lower() for m in self.measures]
         if self.command != "fetch":
             for m in self.measures:
                 if m != "lsc":
@@ -122,18 +121,19 @@ class RunConfig:
         if self.command == "sir" and (self.seeds is not None or self.seeds_from is not None):
             if self.max_steps is None:
                 raise ValueError("curve mode requires --steps")
-            if self.seeds is None and self.seeds_from.lower() not in ("lsc", *VALUE_MEASURES):
+            if self.seeds is None and self.seeds_from.upper() not in ("LSC", *MEASURES):
                 raise ValueError(f"unknown --seeds-from measure {self.seeds_from!r}")
         _check_int("threads", self.threads, 1)
+        if self.command != "fetch":
+            if len([s for s in (self.dataset, self.graph, self.generate) if s]) != 1:
+                raise ValueError("specify exactly one of --dataset, --graph, --generate")
+            if self.generate:
+                _generator_args(self.generate)
 
     def measure_settings(self) -> dict:
-        return {
-            "cc_convention": self.cc_convention,
-            "ec_tol": self.ec_tol,
-            "ec_max_iter": self.ec_max_iter,
-            "gc_radius": self.gc_radius,
-            "gc_exponent": self.gc_exponent,
-        }
+        """The library's measure settings that RunConfig has a field for."""
+        names = (f.name for f in dataclasses.fields(_MeasureSettings))
+        return {name: getattr(self, name) for name in names if hasattr(self, name)}
 
     def _lsc_settings(self) -> dict:
         """The keywords that lsc, evaluate_dataset and benchmark_runtime share."""
@@ -156,23 +156,25 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if hasattr(config, key):
             setattr(config, key, value)
     config.command = args.command
-    config.measures = [m.lower() for m in config.measures]
-    config.measure_order = [m.upper() for m in config.measure_order]
     return config
 
 
+def _generator_args(spec: str) -> tuple[int, int, int]:
+    """n, m and rng_seed of a ba:<n>:<m>:<seed> spec, checked as
+    generate_barabasi_albert checks them."""
+    kind, *numbers = spec.split(":")
+    try:
+        n, m, seed = map(int, numbers) if kind == "ba" else ()
+    except ValueError:  # a missing, extra or non-integer number
+        raise ValueError(f"bad generator spec {spec!r}; expected ba:<n>:<m>:<seed>") from None
+    _check_barabasi_albert(n, m, seed)
+    return n, m, seed
+
+
 def _load_graph(config: RunConfig) -> Graph:
-    sources = [s for s in (config.dataset, config.graph, config.generate) if s]
-    if len(sources) != 1:
-        raise ValueError("specify exactly one of --dataset, --graph, --generate")
+    """The graph of the one source that validate found in config."""
     if config.generate:
-        parts = config.generate.split(":")
-        if len(parts) != 4 or parts[0] != "ba":
-            raise ValueError(
-                f"bad generator spec {config.generate!r}; expected ba:<n>:<m>:<seed>"
-            )
-        n, m, seed = (int(p) for p in parts[1:])
-        return generate_barabasi_albert(n, m, seed)
+        return generate_barabasi_albert(*_generator_args(config.generate))
     if config.dataset:
         return datasets.load_dataset(config.dataset, config.data_dir)
     path = Path(config.graph)
@@ -391,22 +393,22 @@ def _add_common_args(parser: argparse.ArgumentParser, *, needs_graph: bool) -> N
         parser.add_argument("--data-dir", dest="data_dir", help="fetched dataset directory")
 
 
+def _one_of(values) -> str:
+    """A metavar listing allowed values, as argparse's choices would show."""
+    return "{" + ",".join(values) + "}"
+
+
 def _add_measure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--precision", type=int, help="decimal places for LSC rounding")
-    parser.add_argument(
-        "--rounding", choices=ROUNDING_MODES, help="LSC rounding mode"
-    )
+    parser.add_argument("--rounding", metavar=_one_of(ROUNDING_MODES), help="LSC rounding mode")
     parser.add_argument(
         "--measure-order",
         dest="measure_order",
         type=lambda s: s.split(","),
-        help="comma-separated LSC measure order (default dc,ec,cc)",
+        help="comma-separated LSC measure order"
+        f" (default {','.join(DEFAULT_MEASURE_ORDER).lower()})",
     )
-    parser.add_argument(
-        "--cc-convention",
-        dest="cc_convention",
-        choices=(CC_COMPONENT_SCALED, CC_PAPER_LITERAL),
-    )
+    parser.add_argument("--cc-convention", dest="cc_convention", metavar=_one_of(CC_CONVENTIONS))
     parser.add_argument("--ec-tol", dest="ec_tol", type=float)
     parser.add_argument("--ec-max-iter", dest="ec_max_iter", type=int)
     parser.add_argument("--gc-radius", dest="gc_radius", type=int)
@@ -453,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seeds-from", dest="seeds_from", help="take seeds from a measure's top ranks"
     )
-    p.add_argument("--top", type=int, help="how many top nodes to seed (default 10)")
+    p.add_argument(
+        "--top", type=int, help=f"how many top nodes to seed (default {RunConfig.top})"
+    )
     p.set_defaults(func=cmd_sir)
 
     p = sub.add_parser("evaluate", help="full ranking-vs-SIR evaluation report")
@@ -461,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure_args(p)
     _add_sir_args(p)
     p.add_argument("--x-percent", dest="x_percent", type=float, help="top-x%% cutoff")
-    p.add_argument("--tau-variant", dest="tau_variant", choices=_TAU_VARIANTS)
+    p.add_argument("--tau-variant", dest="tau_variant", metavar=_one_of(_TAU_VARIANTS))
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="runtime benchmark of measures")

@@ -15,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .centrality import MEASURES, compute_centrality
-from .graph import Graph, _check_int
+from .graph import Graph, _check_int, _check_real
 from .ranking import (
     DEFAULT_MEASURE_ORDER,
     DEFAULT_PRECISION,
@@ -32,6 +32,9 @@ from .sir import SirParams, SirResult, mean_scores, score_all_nodes
 
 EVAL_MEASURES = ("DC", "EC", "CC", "BC", "GC", "LSC")
 _TAU_VARIANTS = ("a", "b")
+DEFAULT_TAU_VARIANT = "a"
+DEFAULT_X_PERCENT = 5.0
+DEFAULT_REPETITIONS = 1
 
 
 def _tie_pair_count(values: np.ndarray) -> int:
@@ -95,7 +98,9 @@ def _validate_tau_inputs(a: Sequence[float], b: Sequence[float], variant: str) -
     return len(a)
 
 
-def kendall_tau(a: Sequence[float], b: Sequence[float], variant: str = "a") -> float:
+def kendall_tau(
+    a: Sequence[float], b: Sequence[float], variant: str = DEFAULT_TAU_VARIANT
+) -> float:
     """Kendall rank correlation via merge-count, O(N log N).
 
     A pair of indices is concordant when both lists order it the same strict
@@ -120,7 +125,7 @@ def kendall_tau(a: Sequence[float], b: Sequence[float], variant: str = "a") -> f
 
 
 def kendall_tau_pairwise(
-    a: Sequence[float], b: Sequence[float], variant: str = "a"
+    a: Sequence[float], b: Sequence[float], variant: str = DEFAULT_TAU_VARIANT
 ) -> float:
     """Reference O(N^2) Kendall tau; must agree exactly with kendall_tau."""
     n = _validate_tau_inputs(a, b, variant)
@@ -144,8 +149,7 @@ def kendall_tau_pairwise(
 
 
 def _check_x_percent(x_percent: float) -> None:
-    if not 0 < x_percent <= 100:
-        raise ValueError(f"x_percent must be in (0, 100], got {x_percent!r}")
+    _check_real("x_percent", x_percent, 0, 100)
 
 
 def top_x_size(node_count: int, x_percent: float) -> int:
@@ -210,7 +214,7 @@ def _check_repetitions(repetitions: int) -> None:
 def benchmark_runtime(
     g: Graph,
     measures: Sequence[str],
-    repetitions: int = 1,
+    repetitions: int = DEFAULT_REPETITIONS,
     precision: int = DEFAULT_PRECISION,
     measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
     rounding: str = ROUND_HALF_EVEN_MODE,
@@ -260,8 +264,7 @@ class EvalReport:
     x_percent: float
     node_count: int
     measures: dict[str, dict]
-    tau_variant: str = "a"
-    runtime_seconds: dict[str, float] | None = None
+    tau_variant: str
     # per-measure rankings, and the SIR results and their mean scores (the
     # ground truth), that the rows were scored from; not serialized
     rankings: dict[str, NodeRanking] = field(default_factory=dict, repr=False)
@@ -280,8 +283,6 @@ class EvalReport:
             "tau_variant": self.tau_variant,
             "measures": self.measures,
         }
-        if self.runtime_seconds is not None:
-            payload["runtime_seconds"] = self.runtime_seconds
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def write_csv(self, stream: IO[str]) -> None:
@@ -305,9 +306,9 @@ def lsc_rank_values(ranking: NodeRanking) -> np.ndarray:
 def evaluate_dataset(
     g: Graph,
     params: SirParams,
-    x_percent: float = 5.0,
+    x_percent: float = DEFAULT_X_PERCENT,
     dataset: str = "",
-    tau_variant: str = "a",
+    tau_variant: str = DEFAULT_TAU_VARIANT,
     precision: int = DEFAULT_PRECISION,
     measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
     rounding: str = ROUND_HALF_EVEN_MODE,

@@ -39,6 +39,21 @@ def _check_int(name: str, value, minimum: int | None = None, maximum: int | None
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def _check_real(name: str, value, low, high=None, *, low_closed: bool = False) -> None:
+    """Raise a ValueError naming ``name`` unless value is a real number (an
+    integer or a float, not a bool) above ``low``, or equal to it when
+    low_closed, and at most ``high`` when one is given."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    above = real and (value >= low if low_closed else value > low)
+    if above and (high is None or value <= high):
+        return
+    if high is None:
+        bound = f"{'>=' if low_closed else '>'} {low}"
+    else:
+        bound = f"in {'[' if low_closed else '('}{low}, {high}]"
+    raise ValueError(f"{name} must be a number {bound}, got {value!r}")
+
+
 class EdgeListParseError(ValueError):
     """Malformed edge-list input; carries the offending 1-based line number."""
 
@@ -222,8 +237,7 @@ def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:
 
     Deterministic for a fixed rng_seed; always has m*(n-m) edges.
     """
-    if m < 1 or m >= n:
-        raise ValueError(f"require 1 <= m < n, got m={m}, n={n}")
+    _check_barabasi_albert(n, m, rng_seed)
     rng = np.random.default_rng(rng_seed)
     edges: list[tuple[int, int]] = []
     # one entry per edge endpoint: sampling uniformly from this list is
@@ -246,6 +260,14 @@ def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:
             repeated.append(t)
         repeated.extend([new] * m)
     return from_edges(n, edges)
+
+
+def _check_barabasi_albert(n: int, m: int, rng_seed: int) -> None:
+    _check_int("n", n)
+    _check_int("m", m)
+    _check_int("rng_seed", rng_seed, 0)
+    if m < 1 or m >= n:
+        raise ValueError(f"require 1 <= m < n, got m={m}, n={n}")
 
 
 def _bfs_blocks(g: Graph, max_depth: int | None = None, sources: np.ndarray | None = None):
@@ -379,11 +401,10 @@ def dataset_stats(g: Graph) -> DatasetStats:
     n, m = g.node_count, g.edge_count
     if n < 2:
         raise ValueError("dataset_stats requires at least 2 nodes")
-    degrees = g.degrees()
     return DatasetStats(
         node_count=n,
         edge_count=m,
         mean_degree=2.0 * m / n,
-        max_degree=int(degrees.max()) if n else 0,
+        max_degree=int(g.degrees().max()),
         density=2.0 * m / (n * (n - 1)),
     )

@@ -62,11 +62,14 @@ def _check_rounding(precision: int, rounding: str) -> int:
 
 
 def _check_measure_order(measure_order: Sequence[str]) -> list[str]:
-    """The order's tags, upper-cased; an empty order, an unknown measure or
-    one named twice (case-insensitively) is a ValueError."""
+    """The order's tags, upper-cased; a string, an empty order, an unknown
+    measure or one named twice (case-insensitively) is a ValueError, and
+    the message names a measure by its upper-cased tag."""
+    if isinstance(measure_order, str):
+        raise ValueError(f"measure_order must be a list of measures, got {measure_order!r}")
     if not measure_order:
         raise ValueError("at least one centrality measure is required")
-    tags = [_check_measure(tag) for tag in measure_order]
+    tags = [_check_measure(tag.upper()) for tag in measure_order]
     repeated = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
     if repeated:
         raise ValueError(f"measure {repeated[0]!r} is repeated in the measure order")

@@ -43,7 +43,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _check_int, _edge_endpoints, _is_int, _min_labels
+from .graph import Graph, _check_int, _check_real, _edge_endpoints, _is_int, _min_labels
 
 SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
 
@@ -57,10 +57,8 @@ class SirParams:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        _check_real("beta", self.beta, 0, 1, low_closed=True)
+        _check_real("gamma", self.gamma, 0, 1)
         _check_int("replications", self.replications, 1)
         if self.max_steps is not None:
             _check_int("max_steps", self.max_steps, 0)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -6,10 +7,21 @@ import pytest
 import lexcent.centrality
 import lexcent.cli
 import lexcent.evaluation
-from lexcent.centrality import compute_centrality, eigenvector_centrality, gravity_centrality
-from lexcent.cli import main
-from lexcent.datasets import dataset_path
-from lexcent.evaluation import benchmark_runtime, evaluate_dataset, kendall_tau
+from lexcent.centrality import (
+    betweenness_centrality,
+    closeness_centrality,
+    compute_centrality,
+    eigenvector_centrality,
+    gravity_centrality,
+)
+from lexcent.cli import RunConfig, main
+from lexcent.datasets import dataset_path, load_dataset
+from lexcent.evaluation import (
+    benchmark_runtime,
+    evaluate_dataset,
+    kendall_tau,
+    kendall_tau_pairwise,
+)
 from lexcent.graph import from_edges
 from lexcent.ranking import build_ranking_matrix, lsc
 from lexcent.sir import SirParams
@@ -553,8 +565,13 @@ def test_non_integer_settings_fail_before_any_work(small_graph_file, tmp_path, c
          "unknown --seeds-from measure 'pagerank'"),
         (["evaluate", "--beta", "0.5"], {"measure_order": []},
          "at least one centrality measure is required"),
+        (["centrality"], {"measure_order": "dc,ec"},
+         "measure_order must be a list of measures, got 'dc,ec'"),
+        (["centrality"], {"measures": "dc"}, "measures must be a list of measures, got 'dc'"),
+        (["bench"], {"measures": "lsc"}, "measures must be a list of measures, got 'lsc'"),
     ],
-    ids=["no-beta", "curve-without-steps", "unknown-seeds-from", "empty-measure-order"],
+    ids=["no-beta", "curve-without-steps", "unknown-seeds-from", "empty-measure-order",
+         "string-measure-order", "string-measures", "string-bench-measures"],
 )
 def test_config_errors_come_before_the_graph_loads(tmp_path, capsys, argv, config, message):
     cfg = tmp_path / "cfg.json"
@@ -592,6 +609,15 @@ SETTING_PARITY = [
     ("replications", 0, lambda g: SirParams(beta=0.5, replications=0)),
     ("max_steps", 2.5, lambda g: SirParams(beta=0.5, max_steps=2.5)),
     ("rng_seed", -1, lambda g: SirParams(beta=0.5, rng_seed=-1)),
+    ("ec_tol", "1e-8", lambda g: eigenvector_centrality(g, tol="1e-8")),
+    ("ec_tol", True, lambda g: compute_centrality(g, "EC", ec_tol=True)),
+    ("x_percent", True, lambda g: evaluate_dataset(g, SirParams(beta=0.5), x_percent=True)),
+    ("x_percent", "5", lambda g: evaluate_dataset(g, SirParams(beta=0.5), x_percent="5")),
+    ("beta", "0.1", lambda g: SirParams(beta="0.1")),
+    ("beta", True, lambda g: SirParams(beta=True)),
+    ("gamma", True, lambda g: SirParams(beta=0.5, gamma=True)),
+    ("gamma", "1", lambda g: SirParams(beta=0.5, gamma="1")),
+    ("measure_order", "dc,ec", lambda g: lsc(g, measure_order="dc,ec")),
 ]
 
 
@@ -618,3 +644,94 @@ def test_cli_and_library_reject_a_setting_with_one_message(
     with pytest.raises(ValueError) as raised:
         library_call(_small_graph())
     assert err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--rounding", "up"), ("--cc-convention", "bogus"), ("--tau-variant", "c")],
+)
+def test_a_flag_and_its_config_key_fail_with_one_message(
+    small_graph_file, tmp_path, capsys, flag, value
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag.lstrip("-").replace("-", "_"): value}))
+    out = tmp_path / "o"
+    errors = []
+    for given in ([flag, value], ["--config", str(cfg)]):
+        argv = ["evaluate", "--graph", str(small_graph_file), "--beta", "0.5", *given,
+                "--out", str(out)]
+        assert run(argv) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: unknown ") and errors[0].count("\n") == 1
+
+
+def _defaults(fn):
+    return {
+        name: p.default
+        for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def test_run_config_defaults_are_the_librarys():
+    evaluate = _defaults(evaluate_dataset)
+    sir = _defaults(SirParams)
+    library = {
+        "precision": evaluate["precision"],
+        "measure_order": list(evaluate["measure_order"]),
+        "rounding": evaluate["rounding"],
+        "x_percent": evaluate["x_percent"],
+        "tau_variant": evaluate["tau_variant"],
+        "repetitions": _defaults(benchmark_runtime)["repetitions"],
+        "cc_convention": _defaults(closeness_centrality)["convention"],
+        "ec_tol": _defaults(eigenvector_centrality)["tol"],
+        "ec_max_iter": _defaults(eigenvector_centrality)["max_iter"],
+        "gc_radius": _defaults(gravity_centrality)["radius"],
+        "gc_exponent": _defaults(gravity_centrality)["exponent"],
+        "gamma": sir["gamma"],
+        "replications": sir["replications"],
+        "rng_seed": sir["rng_seed"],
+        "max_steps": sir["max_steps"],
+        "data_dir": str(_defaults(load_dataset)["data_dir"]),
+    }
+    config = RunConfig()
+    for name, value in library.items():
+        assert getattr(config, name) == value, name
+        assert type(getattr(config, name)) is type(value), name  # 5.0 stays a float
+    # the library's functions agree with each other on the shared defaults
+    for fn in (lsc, benchmark_runtime):
+        for name in ("precision", "measure_order", "rounding"):
+            assert _defaults(fn)[name] == evaluate[name], (fn.__name__, name)
+    for fn in (kendall_tau, kendall_tau_pairwise):
+        assert _defaults(fn)["variant"] == evaluate["tau_variant"]
+    assert _defaults(betweenness_centrality)["normalized"] is True
+    assert compute_centrality(_small_graph(), "EC").params["tol"] == library["ec_tol"]
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("ba:10:x:1", "bad generator spec 'ba:10:x:1'; expected ba:<n>:<m>:<seed>"),
+        ("ba:10:3", "bad generator spec 'ba:10:3'; expected ba:<n>:<m>:<seed>"),
+        ("ba:10:3:1:2", "bad generator spec 'ba:10:3:1:2'; expected ba:<n>:<m>:<seed>"),
+        ("er:10:3:1", "bad generator spec 'er:10:3:1'; expected ba:<n>:<m>:<seed>"),
+        ("ba:10:3:-1", "rng_seed must be an integer >= 0, got -1"),
+        ("ba:10:10:1", "require 1 <= m < n, got m=10, n=10"),
+        ("ba:10:0:1", "require 1 <= m < n, got m=0, n=10"),
+    ],
+    ids=["non-integer", "three-parts", "five-parts", "not-ba", "negative-seed", "m-equals-n",
+         "zero-m"],
+)
+def test_bad_generator_spec_fails_before_the_graph_loads(
+    tmp_path, capsys, monkeypatch, spec, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr(lexcent.cli, "_load_graph", no_work)
+    out = tmp_path / "o"
+    assert run(["stats", "--generate", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -266,6 +266,22 @@ def test_ba_rejects_bad_m():
         generate_barabasi_albert(5, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "n,m,rng_seed,message",
+    [
+        (10, 3, -1, "rng_seed must be an integer >= 0, got -1"),
+        (10, 2.5, 1, "m must be an integer, got 2.5"),
+        (10.0, 3, 1, "n must be an integer, got 10.0"),
+        (10, 3, True, "rng_seed must be an integer >= 0, got True"),
+    ],
+    ids=["negative-seed", "float-m", "float-n", "bool-seed"],
+)
+def test_ba_names_the_bad_argument(n, m, rng_seed, message):
+    with pytest.raises(ValueError) as raised:
+        generate_barabasi_albert(n, m, rng_seed)
+    assert str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # bit-packed all-sources BFS
 

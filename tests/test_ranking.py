@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -555,6 +556,19 @@ def test_lsc_checks_measures_and_settings_before_any_work():
     for top in (0, 1.5, True):
         with pytest.raises(ValueError, match="top"):
             lsc(g, top=top)
+
+
+@pytest.mark.parametrize("order", ["DC", "dc,ec"])
+def test_a_measure_order_given_as_a_string_is_rejected(order):
+    # a string is not split into one-letter measures
+    message = f"measure_order must be a list of measures, got {order!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lsc(star_graph(4), measure_order=order)
+
+
+def test_an_unknown_measure_in_the_order_is_named_by_its_tag():
+    with pytest.raises(ValueError, match="unknown measure 'XX'"):
+        lsc(star_graph(4), measure_order=["dc", "xx"])
 
 
 def test_lsc_top_beyond_n_ranks_every_node():
