@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .graph import (
-    Graph, _bfs_blocks, _check_int, _check_real, _source_bits, connected_components, k_shell
+    Graph, _bfs_blocks, _check_bool, _check_int, _check_real, _source_bits,
+    connected_components, k_shell,
 )
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
@@ -50,7 +51,10 @@ class CentralityVector:
 
 
 def _check_measure(measure: str) -> str:
-    """The measure's tag, upper-cased; an unknown measure is a ValueError."""
+    """The measure's tag, upper-cased; a non-string or unknown measure is a
+    ValueError."""
+    if not isinstance(measure, str):
+        raise ValueError(f"measure must be a string, got {measure!r}")
     tag = measure.upper()
     if tag not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -77,6 +81,7 @@ class _MeasureSettings:
         _check_int("ec_max_iter", self.ec_max_iter, 1)
         _check_int("gc_radius", self.gc_radius, 1)
         _check_int("gc_exponent", self.gc_exponent)
+        _check_bool("bc_normalized", self.bc_normalized)
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
@@ -213,6 +218,7 @@ def betweenness_centrality(
     level's adjacency entries, never with n. A source stops once it has
     reached its whole component, so no level gathers only to find nothing.
     """
+    _MeasureSettings(bc_normalized=normalized)
     n = g.node_count
     if normalized and n < 3:
         raise ValueError("normalized betweenness requires at least 3 nodes")
@@ -361,11 +367,3 @@ def _scores_reader(g: Graph, measure: str, **settings) -> Callable[[np.ndarray],
     if tag == "GC":
         return lambda nodes: _gravity_at(g, nodes, s.gc_radius, s.gc_exponent)
     return lambda nodes: compute_centrality(g, tag, **settings).scores[nodes]
-
-
-def write_centrality_csv(vectors: list[CentralityVector], stream) -> None:
-    """CSV with header node,measure,score; scores at 12 significant digits."""
-    stream.write("node,measure,score\n")
-    for vec in vectors:
-        for node, score in enumerate(vec.scores):
-            stream.write(f"{node},{vec.measure},{score:.12g}\n")

@@ -5,25 +5,32 @@ resolves its settings into a RunConfig (defaults < --config file < explicit
 flags) and validates every setting before the graph is loaded. A setting
 the library reads takes the library's default and is checked by the
 library's own rule, so a flag and a config key fail with the same message.
-Once every result is computed it writes the resolved config next to the
-outputs as run_config.json and emits deterministic CSV/JSON: identical
-configs (including rng_seed) produce byte-identical files. --threads is
-accepted and recorded in run_config.json but has no effect: every command
-runs in one thread. Errors exit nonzero with a single 'error: ...' line on
-stderr.
+
+This module is the only writer of command outputs; the library returns
+data only. Each cmd_* computes every result and returns the files it
+writes; _write_outputs then makes the output directory and writes them,
+the node labels and the resolved config (run_config.json), so a command
+that fails leaves no run_config.json behind. Every CSV goes through _write
+(csv quoting: a field holding a comma, a quote or a line break is quoted)
+and every JSON file through _json. Identical configs (including rng_seed)
+produce byte-identical files. --threads is accepted and recorded in
+run_config.json but has no effect: every command runs in one thread.
+Errors exit nonzero with a single 'error: ...' line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import datasets
-from .centrality import CC_CONVENTIONS, MEASURES, compute_centrality, write_centrality_csv
+from .centrality import CC_CONVENTIONS, MEASURES, compute_centrality
 from .evaluation import DEFAULT_REPETITIONS, DEFAULT_TAU_VARIANT, DEFAULT_X_PERCENT
 from .evaluation import EVAL_MEASURES, benchmark_runtime, evaluate_dataset, rank_vs_score_series
 from .graph import Graph, dataset_stats, generate_barabasi_albert, load_edge_list
@@ -32,26 +39,18 @@ from .ranking import (
     DEFAULT_PRECISION,
     ROUND_HALF_EVEN_MODE,
     ROUNDING_MODES,
+    RankingMatrix,
     build_ranking_matrix,
     lexical_sort,
     lsc,
     ranking_from_scores,
-    ranking_to_json,
-    write_ranking_csv,
-    write_ranking_matrix_csv,
 )
-from .sir import (
-    SirParams,
-    score_all_nodes,
-    spread_curve,
-    write_curve_csv,
-    write_scores_csv,
-)
+from .sir import SirParams, SirResult, score_all_nodes, spread_curve
 
 # the library's own checks, one per setting, which RunConfig.validate calls
 from .centrality import _check_measure, _MeasureSettings
 from .evaluation import _TAU_VARIANTS, _check_repetitions, _check_tau_variant, _check_x_percent
-from .graph import _check_barabasi_albert, _check_int
+from .graph import _check_barabasi_albert, _check_bool, _check_int
 from .ranking import _check_measure_order, _check_rounding, _check_top
 
 @dataclass
@@ -91,15 +90,19 @@ class RunConfig:
     threads: int = 1
     force: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
-
     def validate(self) -> None:
         """Check every field before the graph is loaded: each setting the
         library reads with the library's own check and message, and the
         CLI-only fields (measures, seeds, seeds_from, threads, the graph
-        source) here. Leaves the measure order upper-cased and the measures
-        lower-cased."""
+        source, the directories) here. Leaves the measure order upper-cased
+        and the measures lower-cased."""
+        optional = ("seeds_from", "dataset", "graph", "generate")
+        for name in ("output_dir", "data_dir", *optional):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or value is None and name in optional):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        _check_bool("relabel", self.relabel)
+        _check_bool("force", self.force)
         _check_rounding(self.precision, self.rounding)
         self.measure_order = _check_measure_order(self.measure_order)
         _MeasureSettings(**self.measure_settings())
@@ -108,7 +111,9 @@ class RunConfig:
         _check_tau_variant(self.tau_variant)
         _check_repetitions(self.repetitions)
         _check_top(self.top)
-        if isinstance(self.measures, str):
+        if not isinstance(self.measures, list) or not all(
+            isinstance(m, str) for m in self.measures
+        ):
             raise ValueError(f"measures must be a list of measures, got {self.measures!r}")
         self.measures = [m.lower() for m in self.measures]
         if self.command != "fetch":
@@ -116,6 +121,8 @@ class RunConfig:
                 if m != "lsc":
                     _check_measure(m)
         if self.seeds is not None:
+            if not isinstance(self.seeds, list):
+                raise ValueError(f"seeds must be a list of node ids, got {self.seeds!r}")
             for seed in self.seeds:
                 _check_int("seed id", seed)
         if self.command == "sir" and (self.seeds is not None or self.seeds_from is not None):
@@ -202,32 +209,65 @@ def _sir_params(config: RunConfig) -> SirParams:
     )
 
 
-def _outdir(config: RunConfig) -> Path:
+@dataclass(frozen=True)
+class _Outputs:
+    """What one command computed, for _write_outputs to write."""
+
+    files: dict[str, tuple | str]  # by file name: a CSV (header, rows) or JSON text
+    lines: list[str]  # stdout, printed once every file is written
+    labels: tuple | None = None  # the graph's node labels, for node_labels.csv
+
+
+def _write(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """One CSV file: the header, then the rows, floats already formatted. A
+    field is quoted only when it holds a comma, a quote or a line break."""
+    with open(path, "w", newline="") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _json(payload, indent: int | None = 2) -> str:
+    """JSON text with sorted keys and a final newline; one line when indent is None."""
+    return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+
+
+def _write_outputs(config: RunConfig, outputs: _Outputs) -> None:
+    """Write a command's files, its node labels (if it has any) and the
+    resolved config into the output directory, then print its lines."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run_config.json").write_text(config.to_json())
-    return out
-
-
-def _write(path: Path, writer) -> None:
-    with open(path, "w", newline="\n") as stream:
-        writer(stream)
-
-
-def _write_labels(g: Graph, out: Path) -> None:
-    if g.labels is None:
-        return
-    with open(out / "node_labels.csv", "w", newline="\n") as stream:
-        stream.write("node,label\n")
-        for node, label in enumerate(g.labels):
-            stream.write(f"{node},{label}\n")
+    (out / "run_config.json").write_text(_json(dataclasses.asdict(config)))
+    if outputs.labels is not None:
+        _write(out / "node_labels.csv", ["node", "label"], enumerate(outputs.labels))
+    for name, content in outputs.files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content)
+        else:
+            _write(out / name, *content)
+    for line in outputs.lines:
+        print(line)
 
 
 def _dataset_tag(config: RunConfig) -> str:
     return config.dataset or config.generate or Path(config.graph or "graph").stem
 
 
-def cmd_centrality(config: RunConfig) -> None:
+def _matrix_table(rm: RankingMatrix) -> tuple[list[str], list[tuple]]:
+    """ranking_matrix.csv: each node's rounded values, at rm's precision."""
+    return ["node", *rm.measure_order], [
+        (node, *(f"{v:.{rm.precision}f}" for v in values))
+        for node, values in enumerate(rm.scaled / 10.0**rm.precision)
+    ]
+
+
+def _scores_table(results: list[SirResult]) -> tuple[list[str], list[tuple]]:
+    return ["node", "mean_score", "std"], [
+        (node, f"{r.mean_score:.12g}", f"{r.score_std:.12g}") for node, r in enumerate(results)
+    ]
+
+
+def cmd_centrality(config: RunConfig) -> _Outputs:
     g = _load_graph(config)
     tags = [m.upper() for m in config.measures if m != "lsc"]
     if "lsc" in config.measures:
@@ -243,31 +283,30 @@ def cmd_centrality(config: RunConfig) -> None:
             config.rounding,
         )
         ranking = lexical_sort(rm)
-    out = _outdir(config)
-    _write_labels(g, out)
+    files: dict[str, tuple | str] = {}
     for measure in config.measures:
         if measure == "lsc":
-            _write(out / "ranking_lsc.csv", lambda s: write_ranking_csv(ranking, s))
-            (out / "ranking_lsc.json").write_text(ranking_to_json(ranking) + "\n")
-            _write(out / "ranking_matrix.csv", lambda s: write_ranking_matrix_csv(rm, s))
+            files["ranking_lsc.csv"] = (["rank", "node"], enumerate(ranking.ordered_nodes))
+            files["ranking_lsc.json"] = _json(dataclasses.asdict(ranking), indent=None)
+            files["ranking_matrix.csv"] = _matrix_table(rm)
         else:
-            _write(
-                out / f"centrality_{measure}.csv",
-                lambda s, v=vectors[measure.upper()]: write_centrality_csv([v], s),
-            )
-    print(f"wrote centrality outputs for {_dataset_tag(config)} to {out}")
+            vec = vectors[measure.upper()]
+            files[f"centrality_{measure}.csv"] = (["node", "measure", "score"], [
+                (node, vec.measure, f"{score:.12g}") for node, score in enumerate(vec.scores)
+            ])
+    out = Path(config.output_dir)
+    return _Outputs(files, [f"wrote centrality outputs for {_dataset_tag(config)} to {out}"],
+                    g.labels)
 
 
-def cmd_sir(config: RunConfig) -> None:
+def cmd_sir(config: RunConfig) -> _Outputs:
     g = _load_graph(config)
     params = _sir_params(config)
+    out = Path(config.output_dir)
     if config.seeds is None and config.seeds_from is None:
-        results = score_all_nodes(g, params)
-        out = _outdir(config)
-        _write_labels(g, out)
-        _write(out / "sir_scores.csv", lambda s: write_scores_csv(results, s))
-        print(f"wrote per-node SIR scores for {_dataset_tag(config)} to {out}")
-        return
+        files = {"sir_scores.csv": _scores_table(score_all_nodes(g, params))}
+        return _Outputs(files, [f"wrote per-node SIR scores for {_dataset_tag(config)} to {out}"],
+                        g.labels)
     if config.seeds is not None:
         seeds = list(config.seeds)
         tag = "seeds"
@@ -279,14 +318,13 @@ def cmd_sir(config: RunConfig) -> None:
             vec = compute_centrality(g, tag, **config.measure_settings())
             ranking = ranking_from_scores(vec.scores, tag.upper())
         seeds = list(ranking.ordered_nodes[: config.top])
-    result = spread_curve(g, seeds, params)
-    out = _outdir(config)
-    _write_labels(g, out)
-    _write(out / f"sir_curve_{tag}.csv", lambda s: write_curve_csv(result, s))
-    print(f"wrote spread curve for seeds {seeds} to {out}")
+    curve = spread_curve(g, seeds, params).curve
+    files = {f"sir_curve_{tag}.csv": (["t", "mean_cumulative_infected"],
+                                      [(t, f"{value:.12g}") for t, value in enumerate(curve)])}
+    return _Outputs(files, [f"wrote spread curve for seeds {seeds} to {out}"], g.labels)
 
 
-def cmd_evaluate(config: RunConfig) -> None:
+def cmd_evaluate(config: RunConfig) -> _Outputs:
     g = _load_graph(config)
     report = evaluate_dataset(
         g,
@@ -296,76 +334,59 @@ def cmd_evaluate(config: RunConfig) -> None:
         tau_variant=config.tau_variant,
         **config._lsc_settings(),
     )
-    # rank-vs-score series per measure (plot-ready), plus inversion summary
-    series = {
-        tag: rank_vs_score_series(report.rankings[tag], report.ground_truth)
-        for tag in EVAL_MEASURES
+    keys = ("dataset", "beta", "gamma", "replications", "rng_seed", "x_percent", "node_count",
+            "tau_variant", "measures")
+    files: dict[str, tuple | str] = {
+        "eval_report.json": _json({key: getattr(report, key) for key in keys}),
+        "eval_report.csv": (["dataset", "measure", "tau", "top_x_overlap", "top_x_k"], [
+            (report.dataset, tag, f"{row['tau']:.12g}", row["top_x_overlap"], row["top_x_k"])
+            for tag, row in report.measures.items()
+        ]),
+        "sir_scores.csv": _scores_table(report.sir_results),
     }
-    out = _outdir(config)
-    _write_labels(g, out)
-    (out / "eval_report.json").write_text(report.to_json())
-    _write(out / "eval_report.csv", report.write_csv)
-    _write(out / "sir_scores.csv", lambda s: write_scores_csv(report.sir_results, s))
-    for tag, (scores, _) in series.items():
-
-        def _writer(stream, nodes=report.rankings[tag].ordered_nodes, ser=scores.tolist()):
-            stream.write("index,node,score\n")
-            for idx, (node, score) in enumerate(zip(nodes, ser)):
-                stream.write(f"{idx},{node},{score:.12g}\n")
-
-        _write(out / f"rank_vs_score_{tag.lower()}.csv", _writer)
-    _write(
-        out / "inversions.csv",
-        lambda s: s.write(
-            "measure,adjacent_inversions\n"
-            + "".join(f"{t},{count}\n" for t, (_, count) in series.items())
-        ),
-    )
-    print(f"wrote evaluation report for {_dataset_tag(config)} to {out}")
+    # rank-vs-score series per measure (plot-ready), plus inversion summary
+    inversions = []
+    for tag in EVAL_MEASURES:
+        nodes = report.rankings[tag].ordered_nodes
+        scores, count = rank_vs_score_series(report.rankings[tag], report.ground_truth)
+        files[f"rank_vs_score_{tag.lower()}.csv"] = (["index", "node", "score"], [
+            (index, node, f"{score:.12g}")
+            for index, (node, score) in enumerate(zip(nodes, scores.tolist()))
+        ])
+        inversions.append((tag, count))
+    files["inversions.csv"] = (["measure", "adjacent_inversions"], inversions)
+    out = Path(config.output_dir)
+    return _Outputs(files, [f"wrote evaluation report for {_dataset_tag(config)} to {out}"],
+                    g.labels)
 
 
-def cmd_bench(config: RunConfig) -> None:
+def cmd_bench(config: RunConfig) -> _Outputs:
     g = _load_graph(config)
     result = benchmark_runtime(
         g, config.measures, repetitions=config.repetitions, **config._lsc_settings()
     )
-    out = _outdir(config)
-
-    def _writer(stream):
-        stream.write("measure,mean_seconds,repetitions\n")
-        for tag, mean in result.mean_seconds.items():
-            stream.write(f"{tag},{mean:.6f},{result.repetitions}\n")
-
-    _write(out / "benchmark.csv", _writer)
-    payload = {
-        "mean_seconds": result.mean_seconds,
-        "runs_seconds": result.runs_seconds,
-        "repetitions": result.repetitions,
-        "metadata": result.metadata,
+    means = result.mean_seconds.items()
+    files = {
+        "benchmark.csv": (["measure", "mean_seconds", "repetitions"],
+                          [(tag, f"{mean:.6f}", result.repetitions) for tag, mean in means]),
+        "benchmark.json": _json(dataclasses.asdict(result)),
     }
-    (out / "benchmark.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    for tag, mean in result.mean_seconds.items():
-        print(f"{tag}: {mean:.4f} s (mean of {result.repetitions})")
+    return _Outputs(files, [f"{tag}: {mean:.4f} s (mean of {result.repetitions})"
+                            for tag, mean in means])
 
 
-def cmd_stats(config: RunConfig) -> None:
+def cmd_stats(config: RunConfig) -> _Outputs:
     g = _load_graph(config)
     stats = dataset_stats(g)
-    out = _outdir(config)
-
-    def _writer(stream):
-        stream.write("nodes,edges,mean_degree,max_degree,density\n")
-        stream.write(
-            f"{stats.node_count},{stats.edge_count},{stats.mean_degree:.7g},"
-            f"{stats.max_degree},{stats.density:.7g}\n"
-        )
-
-    _write(out / "stats.csv", _writer)
-    print(
+    files = {"stats.csv": (["nodes", "edges", "mean_degree", "max_degree", "density"], [(
+        stats.node_count, stats.edge_count, f"{stats.mean_degree:.7g}", stats.max_degree,
+        f"{stats.density:.7g}",
+    )])}
+    return _Outputs(files, [
         f"{_dataset_tag(config)}: nodes={stats.node_count} edges={stats.edge_count} "
         f"mean_degree={stats.mean_degree:.4f} max_degree={stats.max_degree} "
         f"density={stats.density:.7f}"
-    )
+    ])
 
 
 def cmd_fetch(config: RunConfig, names: list[str]) -> None:
@@ -502,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fetch":
             cmd_fetch(config, args.names)
         else:
-            args.func(config)
+            _write_outputs(config, args.func(config))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .graph import Graph, load_edge_list
+from .graph import Graph, _check_bool, load_edge_list
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,7 @@ def fetch(
     computed checksum otherwise so it can be pinned. Raises on unknown
     datasets, download failure, or checksum mismatch.
     """
+    _check_bool("force", force)
     info = REGISTRY.get(name)
     if info is None:
         known = ", ".join(sorted(REGISTRY))

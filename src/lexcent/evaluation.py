@@ -4,13 +4,12 @@ top-x% overlap, rank-vs-score series, and the LSC-vs-GC runtime benchmark.
 
 from __future__ import annotations
 
-import json
 import math
 import platform
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -266,35 +265,10 @@ class EvalReport:
     measures: dict[str, dict]
     tau_variant: str
     # per-measure rankings, and the SIR results and their mean scores (the
-    # ground truth), that the rows were scored from; not serialized
+    # ground truth), that the rows were scored from
     rankings: dict[str, NodeRanking] = field(default_factory=dict, repr=False)
     sir_results: list[SirResult] = field(default_factory=list, repr=False)
     ground_truth: np.ndarray | None = field(default=None, repr=False)
-
-    def to_json(self) -> str:
-        payload = {
-            "dataset": self.dataset,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "replications": self.replications,
-            "rng_seed": self.rng_seed,
-            "x_percent": self.x_percent,
-            "node_count": self.node_count,
-            "tau_variant": self.tau_variant,
-            "measures": self.measures,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def write_csv(self, stream: IO[str]) -> None:
-        stream.write("dataset,measure,tau,top_x_overlap,top_x_k\n")
-        for tag in EVAL_MEASURES:
-            if tag not in self.measures:
-                continue
-            row = self.measures[tag]
-            stream.write(
-                f"{self.dataset},{tag},{row['tau']:.12g},"
-                f"{row['top_x_overlap']},{row['top_x_k']}\n"
-            )
 
 
 def lsc_rank_values(ranking: NodeRanking) -> np.ndarray:

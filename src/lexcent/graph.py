@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -40,10 +41,11 @@ def _check_int(name: str, value, minimum: int | None = None, maximum: int | None
 
 
 def _check_real(name: str, value, low, high=None, *, low_closed: bool = False) -> None:
-    """Raise a ValueError naming ``name`` unless value is a real number (an
-    integer or a float, not a bool) above ``low``, or equal to it when
-    low_closed, and at most ``high`` when one is given."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Raise a ValueError naming ``name`` unless value is a finite real
+    number (an integer or a float, not a bool) above ``low``, or equal to it
+    when low_closed, and at most ``high`` when one is given."""
+    real = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
     above = real and (value >= low if low_closed else value > low)
     if above and (high is None or value <= high):
         return
@@ -51,7 +53,13 @@ def _check_real(name: str, value, low, high=None, *, low_closed: bool = False) -
         bound = f"{'>=' if low_closed else '>'} {low}"
     else:
         bound = f"in {'[' if low_closed else '('}{low}, {high}]"
-    raise ValueError(f"{name} must be a number {bound}, got {value!r}")
+    raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless value is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 class EdgeListParseError(ValueError):
@@ -167,6 +175,7 @@ def load_edge_list(source: str | IO[str], relabel: bool = False) -> Graph:
     label is an integer, lexicographic otherwise) and the original labels are
     retained on the returned Graph.
     """
+    _check_bool("relabel", relabel)
     text = source if isinstance(source, str) else source.read()
     raw_edges: list[tuple[str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -3,16 +3,14 @@ centrality values and order nodes by descending lexicographic comparison of
 their value tuples, most influential first.
 
 Rounded values are carried only as exact scaled integers (value *
-10^precision), so the sort key is immune to binary floating-point artifacts;
-the audit dump divides them back into decimals.
+10^precision), so the sort key is immune to binary floating-point artifacts.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,10 +60,13 @@ def _check_rounding(precision: int, rounding: str) -> int:
 
 
 def _check_measure_order(measure_order: Sequence[str]) -> list[str]:
-    """The order's tags, upper-cased; a string, an empty order, an unknown
-    measure or one named twice (case-insensitively) is a ValueError, and
-    the message names a measure by its upper-cased tag."""
-    if isinstance(measure_order, str):
+    """The order's tags, upper-cased; anything but a list or tuple of
+    strings, an empty order, an unknown measure or one named twice
+    (case-insensitively) is a ValueError, and the message names a measure
+    by its upper-cased tag."""
+    if not isinstance(measure_order, (list, tuple)) or not all(
+        isinstance(tag, str) for tag in measure_order
+    ):
         raise ValueError(f"measure_order must be a list of measures, got {measure_order!r}")
     if not measure_order:
         raise ValueError("at least one centrality measure is required")
@@ -230,29 +231,3 @@ def ranking_from_scores(scores: Sequence[float], source: str) -> NodeRanking:
     arr = np.asarray(scores, dtype=np.float64)
     order = np.lexsort((np.arange(len(arr)), -arr))
     return NodeRanking(tuple(int(i) for i in order), source)
-
-
-def write_ranking_csv(ranking: NodeRanking, stream: IO[str]) -> None:
-    """CSV with header rank,node (rank 0 = most influential)."""
-    stream.write("rank,node\n")
-    for rank, node in enumerate(ranking.ordered_nodes):
-        stream.write(f"{rank},{node}\n")
-
-
-def ranking_to_json(ranking: NodeRanking) -> str:
-    return json.dumps(
-        {
-            "source": ranking.source,
-            "ordered_nodes": list(ranking.ordered_nodes),
-            "params": ranking.params,
-        },
-        sort_keys=True,
-    )
-
-
-def write_ranking_matrix_csv(rm: RankingMatrix, stream: IO[str]) -> None:
-    """Audit dump: node plus one column per measure, rounded values."""
-    stream.write("node," + ",".join(rm.measure_order) + "\n")
-    for node, values in enumerate(rm.scaled / 10.0**rm.precision):
-        row = ",".join(f"{v:.{rm.precision}f}" for v in values)
-        stream.write(f"{node},{row}\n")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -335,19 +335,3 @@ def _percolation_scores(g: Graph, params: SirParams) -> list[SirResult]:
 
 def mean_scores(results: Sequence[SirResult]) -> np.ndarray:
     return np.array([r.mean_score for r in results])
-
-
-def write_scores_csv(results: Sequence[SirResult], stream: IO[str]) -> None:
-    """CSV with header node,mean_score,std."""
-    stream.write("node,mean_score,std\n")
-    for node, res in enumerate(results):
-        stream.write(f"{node},{res.mean_score:.12g},{res.score_std:.12g}\n")
-
-
-def write_curve_csv(result: SirResult, stream: IO[str]) -> None:
-    """CSV with header t,mean_cumulative_infected."""
-    if result.curve is None:
-        raise ValueError("result has no curve")
-    stream.write("t,mean_cumulative_infected\n")
-    for t, value in enumerate(result.curve):
-        stream.write(f"{t},{value:.12g}\n")

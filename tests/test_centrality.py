@@ -634,6 +634,14 @@ def test_scores_reader_checks_settings_before_any_work():
     g = path_graph(4)
     with pytest.raises(ValueError, match="unknown measure"):
         _scores_reader(g, "XX")
+    for check in (lambda: _scores_reader(g, 5), lambda: compute_centrality(g, 5)):
+        with pytest.raises(ValueError, match="measure must be a string, got 5"):
+            check()
+    for check in (lambda: _scores_reader(g, "BC", bc_normalized="no"),
+                  lambda: compute_centrality(g, "BC", bc_normalized="no"),
+                  lambda: betweenness_centrality(g, normalized="no")):
+        with pytest.raises(ValueError, match="bc_normalized must be true or false, got 'no'"):
+            check()
     with pytest.raises(ValueError, match="closeness convention"):
         _scores_reader(g, "CC", cc_convention="bogus")
     with pytest.raises(ValueError, match="radius"):

@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import inspect
 import json
+import math
 
 import pytest
 
@@ -15,16 +17,19 @@ from lexcent.centrality import (
     gravity_centrality,
 )
 from lexcent.cli import RunConfig, main
-from lexcent.datasets import dataset_path, load_dataset
+from lexcent.datasets import dataset_path, fetch, load_dataset
 from lexcent.evaluation import (
+    EVAL_MEASURES,
     benchmark_runtime,
     evaluate_dataset,
     kendall_tau,
     kendall_tau_pairwise,
 )
-from lexcent.graph import from_edges
+from lexcent.graph import from_edges, load_edge_list
 from lexcent.ranking import build_ranking_matrix, lsc
 from lexcent.sir import SirParams
+
+from test_ranking import matrix_from_rows
 
 
 def run(argv):
@@ -306,6 +311,76 @@ def test_relabel_writes_label_map(tmp_path):
     assert (out / "node_labels.csv").read_text() == "node,label\n0,10\n1,20\n2,30\n"
 
 
+def test_ranking_csv_and_json(tmp_path):
+    path = tmp_path / "hub_last.txt"
+    path.write_text("4 0\n4 1\n4 2\n0 1\n2 3\n")
+    out = tmp_path / "out"
+    assert run(["centrality", "--graph", str(path), "--measures", "lsc", "--out", str(out)]) == 0
+    assert (out / "ranking_lsc.csv").read_text() == "rank,node\n0,4\n1,0\n2,1\n3,2\n4,3\n"
+    # one line, sorted keys
+    assert (out / "ranking_lsc.json").read_text() == (
+        '{"ordered_nodes": [4, 0, 1, 2, 3], "params": {"measure_order": ["DC", "EC", "CC"], '
+        '"precision": 5, "rounding": "half_even"}, "source": "LSC"}\n'
+    )
+
+
+def test_matrix_csv_dump(tmp_path):
+    cases = [
+        (2, "half_even", "0,0.50,0.25\n1,0.12,0.67\n"),
+        (2, "truncate", "0,0.50,0.25\n1,0.12,0.66\n"),
+        (0, "half_even", "0,0,0\n1,0,1\n"),
+        (0, "truncate", "0,0,0\n1,0,0\n"),
+        (15, "half_even", "0,0.500000000000000,0.250000000000000\n"
+                          "1,0.125000000000000,0.666666666666667\n"),
+        (15, "truncate", "0,0.500000000000000,0.250000000000000\n"
+                         "1,0.125000000000000,0.666666666666666\n"),
+    ]
+    path = tmp_path / "rm.csv"
+    for precision, rounding, rows in cases:
+        rm = matrix_from_rows([(0.5, 0.25), (0.125, 2 / 3)], precision, rounding)
+        lexcent.cli._write(path, *lexcent.cli._matrix_table(rm))
+        assert path.read_text() == "node,DC,EC\n" + rows, (precision, rounding)
+
+
+def test_report_serialization_shape(tmp_path):
+    path = tmp_path / "star.txt"
+    path.write_text("0 1\n0 2\n0 3\n")
+    out = tmp_path / "out"
+    argv = ["evaluate", "--graph", str(path), "--beta", "0.2", "--reps", "30", "--seed", "1",
+            "--x-percent", "25", "--out", str(out)]
+    assert run(argv) == 0
+    text = (out / "eval_report.json").read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert set(payload) == {"dataset", "beta", "gamma", "replications", "rng_seed",
+                            "x_percent", "node_count", "tau_variant", "measures"}
+    assert list(payload["measures"]) == sorted(EVAL_MEASURES)
+    assert payload["beta"] == 0.2 and payload["dataset"] == "star"
+    lines = (out / "eval_report.csv").read_text().splitlines()
+    assert lines[0] == "dataset,measure,tau,top_x_overlap,top_x_k"
+    m = payload["measures"]
+    assert lines[1:] == [
+        f"star,{t},{m[t]['tau']:.12g},{m[t]['top_x_overlap']},{m[t]['top_x_k']}"
+        for t in EVAL_MEASURES
+    ]
+
+
+def test_labels_and_dataset_tag_with_commas_and_quotes_read_back(tmp_path):
+    path = tmp_path / "x,y.txt"
+    path.write_text('a,b c\n"e c\nc d\nd a,b\n')
+    out = tmp_path / "out"
+    argv = ["evaluate", "--graph", str(path), "--beta", "0.2", "--reps", "30",
+            "--x-percent", "40", "--out", str(out)]
+    assert run(argv) == 0
+    with open(out / "node_labels.csv", newline="") as stream:
+        labels = list(csv.reader(stream))
+    assert labels == [["node", "label"], ["0", '"e'], ["1", "a,b"], ["2", "c"], ["3", "d"]]
+    with open(out / "eval_report.csv", newline="") as stream:
+        rows = list(csv.reader(stream))
+    assert all(len(row) == 5 for row in rows)
+    assert [row[:2] for row in rows[1:]] == [["x,y", tag] for tag in EVAL_MEASURES]
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--precision", "20"), ("--ec-tol", "0"), ("--ec-max-iter", "0")],
@@ -569,16 +644,29 @@ def test_non_integer_settings_fail_before_any_work(small_graph_file, tmp_path, c
          "measure_order must be a list of measures, got 'dc,ec'"),
         (["centrality"], {"measures": "dc"}, "measures must be a list of measures, got 'dc'"),
         (["bench"], {"measures": "lsc"}, "measures must be a list of measures, got 'lsc'"),
+        (["sir", "--beta", "0.5", "--steps", "3"], {"seeds_from": 5},
+         "seeds_from must be a string, got 5"),
+        (["centrality"], {"measure_order": [1]},
+         "measure_order must be a list of measures, got [1]"),
+        (["centrality"], {"measures": [1]}, "measures must be a list of measures, got [1]"),
+        (["sir", "--beta", "0.5", "--steps", "3"], {"seeds": 5},
+         "seeds must be a list of node ids, got 5"),
+        (["stats"], {"output_dir": 5}, "output_dir must be a string, got 5"),
+        (["stats"], {"data_dir": None}, "data_dir must be a string, got None"),
+        (["stats"], {"dataset": 5}, "dataset must be a string, got 5"),
     ],
     ids=["no-beta", "curve-without-steps", "unknown-seeds-from", "empty-measure-order",
-         "string-measure-order", "string-measures", "string-bench-measures"],
+         "string-measure-order", "string-measures", "string-bench-measures", "int-seeds-from",
+         "int-in-measure-order", "int-in-measures", "int-seeds", "int-output-dir",
+         "null-data-dir", "int-dataset"],
 )
 def test_config_errors_come_before_the_graph_loads(tmp_path, capsys, argv, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    argv = [*argv, "--graph", str(tmp_path / "missing.txt"), "--config", str(cfg),
-            "--out", str(out)]
+    # a config that sets output_dir is not overridden by --out
+    out_flag = [] if "output_dir" in config else ["--out", str(out)]
+    argv = [*argv, "--graph", str(tmp_path / "missing.txt"), "--config", str(cfg), *out_flag]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"  # not "graph file not found"
     assert not out.exists()
@@ -618,6 +706,10 @@ SETTING_PARITY = [
     ("gamma", True, lambda g: SirParams(beta=0.5, gamma=True)),
     ("gamma", "1", lambda g: SirParams(beta=0.5, gamma="1")),
     ("measure_order", "dc,ec", lambda g: lsc(g, measure_order="dc,ec")),
+    ("measure_order", [1], lambda g: lsc(g, measure_order=[1])),
+    ("ec_tol", math.inf, lambda g: eigenvector_centrality(g, tol=math.inf)),
+    ("relabel", "no", lambda g: load_edge_list("0 1\n", relabel="no")),
+    ("force", "no", lambda g: fetch("karate", force="no")),
 ]
 
 

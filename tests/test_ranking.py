@@ -1,4 +1,3 @@
-import json
 import random
 import re
 from unittest import mock
@@ -20,14 +19,10 @@ from lexcent.centrality import (
 from lexcent.datasets import load_dataset
 from lexcent.graph import from_edges, generate_barabasi_albert
 from lexcent.ranking import (
-    NodeRanking,
     build_ranking_matrix,
     lexical_sort,
     lsc,
     ranking_from_scores,
-    ranking_to_json,
-    write_ranking_csv,
-    write_ranking_matrix_csv,
 )
 
 from test_graph import cycle_graph
@@ -578,39 +573,9 @@ def test_lsc_top_beyond_n_ranks_every_node():
 
 
 # ---------------------------------------------------------------------------
-# helpers and serialization
+# helpers
 
 
 def test_ranking_from_scores_tie_break():
     ranking = ranking_from_scores([0.5, 0.9, 0.5, 0.1], "DC")
     assert ranking.ordered_nodes == (1, 0, 2, 3)
-
-
-def test_ranking_csv_and_json(tmp_path):
-    ranking = NodeRanking((2, 0, 1), "LSC", {"precision": 5})
-    path = tmp_path / "r.csv"
-    with open(path, "w") as stream:
-        write_ranking_csv(ranking, stream)
-    assert path.read_text() == "rank,node\n0,2\n1,0\n2,1\n"
-    payload = json.loads(ranking_to_json(ranking))
-    assert payload["ordered_nodes"] == [2, 0, 1]
-    assert payload["source"] == "LSC"
-
-
-def test_matrix_csv_dump(tmp_path):
-    cases = [
-        (2, "half_even", "0,0.50,0.25\n1,0.12,0.67\n"),
-        (2, "truncate", "0,0.50,0.25\n1,0.12,0.66\n"),
-        (0, "half_even", "0,0,0\n1,0,1\n"),
-        (0, "truncate", "0,0,0\n1,0,0\n"),
-        (15, "half_even", "0,0.500000000000000,0.250000000000000\n"
-                          "1,0.125000000000000,0.666666666666667\n"),
-        (15, "truncate", "0,0.500000000000000,0.250000000000000\n"
-                         "1,0.125000000000000,0.666666666666666\n"),
-    ]
-    path = tmp_path / "rm.csv"
-    for precision, rounding, rows in cases:
-        rm = matrix_from_rows([(0.5, 0.25), (0.125, 2 / 3)], precision, rounding)
-        with open(path, "w") as stream:
-            write_ranking_matrix_csv(rm, stream)
-        assert path.read_text() == "node,DC,EC\n" + rows, (precision, rounding)
