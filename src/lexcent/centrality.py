@@ -225,15 +225,21 @@ def betweenness_centrality(
     indptr, degrees = g.indptr, g.degrees()
     # an int64 copy, so gathered neighbor ids index without a conversion
     indices = g.indices.astype(np.int64)
-    seen = np.zeros(n, dtype=bool)
+    unseen = np.ones(n, dtype=bool)
     # per reached node: the smallest gather index naming it, then its
     # position within its level
     slot = np.zeros(n, dtype=np.int64)
+    # the per-level gathers fill these buffers, allocated once per call: a
+    # fresh allocation per level would make BC's time depend on how the
+    # allocator was left by whatever the process ran before
+    steps = np.arange(max(n, indices.size))
+    nbr_buf = np.empty(indices.size, dtype=np.int64)
+    fresh_buf = np.empty(indices.size, dtype=bool)
     bc = np.zeros(n)
     labels, sizes = connected_components(g)
     component_size = np.asarray(sizes)[labels].tolist()
     for s in range(n):
-        seen[s] = True
+        unseen[s] = False
         frontier = np.array([s], dtype=np.int64)
         levels = [frontier]
         sigmas = [np.ones(1)]
@@ -244,18 +250,24 @@ def betweenness_centrality(
             # that starts at output offset o is indices[indptr[v] + k - o]
             lens = degrees.take(frontier)
             ends = np.cumsum(lens)
-            shift = np.repeat(indptr.take(frontier) - (ends - lens), lens)
-            nbrs = indices.take(np.arange(ends[-1]) + shift)
-            fresh = np.logical_not(seen.take(nbrs))
+            total = ends[-1]
+            pos = np.repeat(indptr.take(frontier) - (ends - lens), lens)
+            pos += steps[:total]
+            # mode="clip" (the ids are in range) lets take write straight
+            # into the buffer; with out= the default mode copies through a
+            # temporary
+            nbrs = indices.take(pos, out=nbr_buf[:total], mode="clip")
+            del pos  # so the parent ids below can reuse its memory
+            fresh = unseen.take(nbrs, out=fresh_buf[:total], mode="clip")
             child = nbrs.compress(fresh)
-            parent = np.repeat(np.arange(frontier.size), lens).compress(fresh)
-            entry = np.arange(child.size)
+            parent = np.repeat(steps[: frontier.size], lens).compress(fresh)
+            entry = steps[: child.size]
             slot[child] = child.size
             np.minimum.at(slot, child, entry)
             frontier = child.compress(slot.take(child) == entry)
-            slot[frontier] = np.arange(frontier.size)
+            slot[frontier] = steps[: frontier.size]
             child = slot.take(child)
-            seen[frontier] = True
+            unseen[frontier] = False
             reached += frontier.size
             sigmas.append(
                 np.bincount(child, weights=sigmas[-1].take(parent), minlength=frontier.size)
@@ -280,7 +292,7 @@ def betweenness_centrality(
                 weights=sigmas[d].take(parent) * coeff.take(child),
                 minlength=levels[d].size,
             )
-        seen[np.concatenate(levels)] = False
+        unseen[np.concatenate(levels)] = True
     bc /= 2.0  # undirected: every pair was accumulated from both endpoints
     if normalized:
         bc /= (n - 1) * (n - 2) / 2.0

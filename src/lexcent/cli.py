@@ -152,6 +152,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(loaded) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -399,8 +401,10 @@ def cmd_fetch(config: RunConfig, names: list[str]) -> None:
 
 def _add_common_args(parser: argparse.ArgumentParser, *, needs_graph: bool) -> None:
     parser.add_argument("--config", help="JSON RunConfig file; flags override it")
-    parser.add_argument("--out", dest="output_dir", help="output directory")
+    # fetch, the one command without a graph, writes only the datasets (into
+    # --data-dir) and no run_config.json, so it takes no --out
     if needs_graph:
+        parser.add_argument("--out", dest="output_dir", help="output directory")
         parser.add_argument("--dataset", help="registered dataset name")
         parser.add_argument("--graph", help="edge-list file path")
         parser.add_argument("--generate", help="synthetic graph spec ba:<n>:<m>:<seed>")

@@ -154,14 +154,32 @@ def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         u, v = arr[outside.argmax()].tolist()
         raise ValueError(f"edge ({u}, {v}) out of range for n={node_count}")
     u, v = arr[arr[:, 0] != arr[:, 1]].T
+    return _csr(node_count, u, v)
+
+
+def _csr(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The simple graph on nodes 0..n-1 with the edges (u[k], v[k]), from
+    int64 endpoint arrays without self-loops; an edge given more than once,
+    in either orientation, is one edge."""
     # one key src * n + dst per adjacency entry, both directions of each edge;
     # the sorted distinct keys are the CSR entries in row order, and each
     # row's neighbors ascending
-    keys = np.unique(np.concatenate((u * node_count + v, v * node_count + u)))
-    src, dst = np.divmod(keys, node_count)
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    return Graph(node_count, indptr, dst.astype(np.int32), keys.size // 2)
+    keys = _sorted_distinct(np.concatenate((u * n + v, v * n + u)))
+    src, dst = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, dst.astype(np.int32), keys.size // 2)
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array in ascending order, as np.unique
+    gives them; sorts ``values`` in place. np.unique would build a hash table
+    and import numpy.ma for its masked-array check."""
+    values.sort()
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def load_edge_list(source: str | IO[str], relabel: bool = False) -> Graph:
@@ -248,27 +266,23 @@ def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:
     """
     _check_barabasi_albert(n, m, rng_seed)
     rng = np.random.default_rng(rng_seed)
-    edges: list[tuple[int, int]] = []
-    # one entry per edge endpoint: sampling uniformly from this list is
-    # sampling nodes proportionally to degree
-    repeated: list[int] = []
-    for new in range(m, n):
-        if not repeated:
-            targets = list(range(m))
-        else:
-            picked: list[int] = []
-            seen: set[int] = set()
-            while len(picked) < m:
-                candidate = repeated[int(rng.integers(0, len(repeated)))]
-                if candidate not in seen:
-                    seen.add(candidate)
-                    picked.append(candidate)
-            targets = picked
-        for t in targets:
-            edges.append((t, new))
-            repeated.append(t)
-        repeated.extend([new] * m)
-    return from_edges(n, edges)
+    # one entry per edge endpoint, in the order the edges are made: node
+    # m + i's m targets, then m copies of m + i. Sampling uniformly from the
+    # entries made so far is sampling nodes proportionally to degree.
+    repeated = np.empty((n - m, 2, m), dtype=np.int64)
+    targets, sources = repeated[:, 0], repeated[:, 1]
+    sources[:] = np.arange(m, n)[:, None]
+    targets[0] = np.arange(m)
+    flat = repeated.reshape(-1)
+    for i in range(1, n - m):
+        # drawing the k candidates still needed in one call yields the values
+        # k one-at-a-time draws would; a dict keeps first draws in order
+        picked: dict[int, None] = {}
+        while len(picked) < m:
+            draws = rng.integers(0, 2 * m * i, size=m - len(picked))
+            picked.update(dict.fromkeys(flat.take(draws).tolist()))
+        targets[i] = list(picked)
+    return _csr(n, targets.reshape(-1), sources.reshape(-1))
 
 
 def _check_barabasi_albert(n: int, m: int, rng_seed: int) -> None:

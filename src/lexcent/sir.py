@@ -43,7 +43,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _check_int, _check_real, _edge_endpoints, _is_int, _min_labels
+from .graph import (
+    Graph, _check_int, _check_real, _edge_endpoints, _is_int, _min_labels, _sorted_distinct,
+)
 
 SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
 
@@ -85,7 +87,7 @@ def _check_seeds(g: Graph, seeds: Iterable[int]) -> np.ndarray:
     seeds = list(seeds)
     if not all(_is_int(s) for s in seeds):
         raise ValueError(f"seed ids must be integers, got {seeds!r}")
-    arr = np.unique(np.asarray(seeds, dtype=np.int64))
+    arr = _sorted_distinct(np.array(seeds, dtype=np.int64))
     if arr.size == 0:
         raise ValueError("seed set must not be empty")
     if arr.min() < 0 or arr.max() >= g.node_count:

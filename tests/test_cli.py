@@ -3,6 +3,10 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -672,6 +676,26 @@ def test_config_errors_come_before_the_graph_loads(tmp_path, capsys, argv, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("loaded", [[], 5, "x", None], ids=["array", "number", "string", "null"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, loaded):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    out = tmp_path / "o"
+    argv = ["stats", "--graph", str(tmp_path / "missing.txt"), "--config", str(cfg),
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
+    assert not out.exists()
+
+
+def test_fetch_takes_no_out(capsys):
+    # fetch writes only the datasets into --data-dir, so it offers no --out
+    with pytest.raises(SystemExit) as exit_info:
+        run(["fetch", "--out", "x", "karate"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+
 def _small_graph():
     return from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
 
@@ -827,3 +851,30 @@ def test_bad_generator_spec_fails_before_the_graph_loads(
     assert run(["stats", "--generate", spec, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _in_fresh_process(code, *args):
+    """stdout of ``python -c code args`` with this lexcent importable."""
+    src = str(Path(lexcent.cli.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats"],
+    ["sir", "--beta", "0.05", "--reps", "20"],
+    ["evaluate", "--beta", "0.05", "--reps", "20"],
+    ["sir", "--seeds-from", "lsc", "--top", "3", "--beta", "0.05", "--steps", "5", "--reps", "20"],
+], ids=["stats", "sir", "evaluate", "sir-seeds-from-lsc"])
+def test_commands_do_not_import_numpy_ma(tmp_path, argv):
+    # np.unique without return_* imports numpy.ma (13 ms and over 1 MB per
+    # process); the graph build and the seed check sort instead
+    if _in_fresh_process("import sys, numpy; print('numpy.ma' in sys.modules)") == "True\n":
+        pytest.skip("import numpy alone loads numpy.ma")
+    code = ("import sys; from lexcent.cli import main; status = main(sys.argv[1:]);"
+            " print(status, 'numpy.ma' in sys.modules)")
+    argv = [*argv, "--generate", "ba:200:3:1", "--out", str(tmp_path / "o")]
+    assert _in_fresh_process(code, *argv).splitlines()[-1] == "0 False"

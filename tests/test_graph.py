@@ -11,6 +11,7 @@ from lexcent.graph import (
     EdgeListParseError,
     Graph,
     _bfs_blocks,
+    _csr,
     _source_bits,
     connected_components,
     dataset_stats,
@@ -78,6 +79,31 @@ def reference_from_edges(node_count, edges):
     for i in range(node_count):
         indices[indptr[i] : indptr[i + 1]].sort()
     return Graph(node_count, indptr, indices, len(canon))
+
+
+def reference_csr(n, u, v):
+    """The CSR build from np.unique of the adjacency keys (the oracle for
+    _csr)."""
+    keys = np.unique(np.concatenate((u * n + v, v * n + u)))
+    src, dst = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, dst.astype(np.int32), keys.size // 2)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_csr_matches_unique_build(seed):
+    # random endpoints, some edges repeated as given and some reversed
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    u, v = rng.integers(0, n, size=(2, int(rng.integers(0, 4 * n))))
+    u, v = u[u != v], v[u != v]
+    again = rng.random(u.size) < 0.3
+    flip = rng.random(u.size) < 0.5
+    u, v = np.concatenate((u, u[again], v[flip])), np.concatenate((v, v[again], u[flip]))
+    g, expected = _csr(n, u, v), reference_csr(n, u, v)
+    assert g == expected and g.edge_count == expected.edge_count
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
 
 
 def nested_loop_edges(g):
@@ -232,6 +258,86 @@ def test_round_trip():
 
 # ---------------------------------------------------------------------------
 # Barabasi-Albert generation
+
+
+def reference_barabasi_albert(n, m, rng_seed):
+    """Preferential attachment one scalar draw at a time: each new node
+    draws one entry of the endpoint list per call until it has m distinct
+    targets (the oracle for generate_barabasi_albert)."""
+    rng = np.random.default_rng(rng_seed)
+    edges = []
+    repeated = []
+    for new in range(m, n):
+        if not repeated:
+            targets = list(range(m))
+        else:
+            picked = []
+            seen = set()
+            while len(picked) < m:
+                candidate = repeated[int(rng.integers(0, len(repeated)))]
+                if candidate not in seen:
+                    seen.add(candidate)
+                    picked.append(candidate)
+            targets = picked
+        for t in targets:
+            edges.append((t, new))
+            repeated.append(t)
+        repeated.extend([new] * m)
+    return from_edges(n, edges)
+
+
+def fixed_batch_barabasi_albert(n, m, rng_seed):
+    """A wrong batching: every retry draws m candidates, not the number
+    still needed, so it consumes the stream differently."""
+    rng = np.random.default_rng(rng_seed)
+    edges = []
+    repeated = []
+    for new in range(m, n):
+        if not repeated:
+            targets = list(range(m))
+        else:
+            picked = {}
+            while len(picked) < m:
+                for candidate in rng.integers(0, len(repeated), size=m).tolist():
+                    if len(picked) < m:
+                        picked.setdefault(repeated[candidate])
+            targets = list(picked)
+        edges += [(t, new) for t in targets]
+        repeated += targets + [new] * m
+    return from_edges(n, edges)
+
+
+BA_GRID = [
+    (n, m) for n in (2, 5, 12, 50, 300, 2000) for m in sorted({1, 2, 3, 10, n - 1}) if m < n
+]
+
+
+@pytest.mark.parametrize("n, m", BA_GRID, ids=[f"n{n}-m{m}" for n, m in BA_GRID])
+def test_ba_equals_one_draw_at_a_time_reference(n, m):
+    for seed in range(20):
+        assert generate_barabasi_albert(n, m, seed) == reference_barabasi_albert(n, m, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=80).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1), st.integers(0, 2**32 - 1))
+    )
+)
+def test_ba_equals_reference_on_random_sizes(case):
+    n, m, seed = case
+    assert generate_barabasi_albert(n, m, seed) == reference_barabasi_albert(n, m, seed)
+
+
+def test_ba_grid_catches_a_fixed_batch_per_retry():
+    # the grid must tell apart drawing m candidates per retry, which
+    # overdraws once a node has some targets
+    assert any(
+        fixed_batch_barabasi_albert(n, m, seed) != reference_barabasi_albert(n, m, seed)
+        for n, m in BA_GRID
+        if n <= 300
+        for seed in range(20)
+    )
 
 
 def test_ba_edge_counts():
