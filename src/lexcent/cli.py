@@ -189,7 +189,8 @@ def _load_graph(config: RunConfig) -> Graph:
     path = Path(config.graph)
     if not path.exists():
         raise FileNotFoundError(f"graph file not found: {path}")
-    return load_edge_list(path.read_text(), relabel=config.relabel)
+    with path.open() as stream:
+        return load_edge_list(stream, relabel=config.relabel)
 
 
 def _sir_params(config: RunConfig) -> SirParams:

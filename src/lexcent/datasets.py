@@ -172,7 +172,8 @@ def load_dataset(name: str, data_dir: Path | str = DEFAULT_DATA_DIR) -> Graph:
         raise FileNotFoundError(
             f"dataset {name!r} not found at {path}; run 'lexcent fetch {name}' first"
         )
-    return load_edge_list(path.read_text(), relabel=True)
+    with path.open() as stream:
+        return load_edge_list(stream, relabel=True)
 
 
 def default_beta(name: str) -> float | None:

@@ -16,13 +16,15 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 COMMENT_PREFIXES = ("#", "%")
+# characters load_edge_list reads at a time, before completing the last line
+_BLOCK_CHARS = 1 << 13
 
 
 def _is_int(value) -> bool:
@@ -186,60 +188,86 @@ def load_edge_list(source: str | IO[str], relabel: bool = False) -> Graph:
     """Parse an edge-list text into a Graph.
 
     One edge per line as two whitespace-separated tokens; lines starting with
-    '#' or '%' and blank lines are ignored. Duplicate edges and self-loops are
-    dropped (a summary warning is logged). Without ``relabel``, tokens must be
-    non-negative integers and the graph spans 0..max_id. With ``relabel``,
-    arbitrary labels are mapped to 0..n-1 in sorted order (numeric when every
-    label is an integer, lexicographic otherwise) and the original labels are
-    retained on the returned Graph.
+    '#' or '%' and blank lines are ignored, and lines are numbered as
+    str.splitlines cuts the text. Duplicate edges and self-loops are dropped
+    (a summary warning is logged). Without ``relabel``, every token goes
+    through int() and must give a non-negative id; the graph spans
+    0..max_id. With ``relabel``, arbitrary labels are mapped to 0..n-1 in
+    sorted order and the original labels are retained on the returned Graph:
+    numeric order when every label is an integer written as str(int(label))
+    gives it back, so "01", "+1" and "1" are three string labels, and
+    lexicographic order otherwise.
+
+    The source is read a block at a time, and while every token is an int64
+    id (a numeric label, under relabel) each block's endpoints go into one
+    int64 array; no list of the lines and no tuple per edge is held.
     """
     _check_bool("relabel", relabel)
-    text = source if isinstance(source, str) else source.read()
-    raw_edges: list[tuple[str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(COMMENT_PREFIXES):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(
-                f"expected 2 node tokens, got {len(tokens)}: {stripped!r}", lineno
-            )
-        raw_edges.append((tokens[0], tokens[1]))
-    if not raw_edges:
+    # int64 endpoints, two per edge, one array per block; from the first pair
+    # that is not two ids, every endpoint as a string token instead
+    chunks: list[np.ndarray] = []
+    tokens: list[str] | None = None
+    lineno = 0
+    for block in _blocks(source):
+        ends: list[int] = []
+        for line in block.splitlines():
+            lineno += 1
+            pair = line.split()
+            if not pair or pair[0].startswith(COMMENT_PREFIXES):
+                continue
+            if len(pair) != 2:
+                raise EdgeListParseError(
+                    f"expected 2 node tokens, got {len(pair)}: {line.strip()!r}", lineno
+                )
+            if tokens is None:
+                a, b = pair
+                try:
+                    u, v = int(a), int(b)
+                    ids_ok = not relabel or (str(u) == a and str(v) == b)
+                except ValueError:
+                    ids_ok = False
+                if ids_ok:
+                    ends.append(u)
+                    ends.append(v)
+                    continue
+                tokens = _as_tokens(chunks, ends)
+            tokens += pair
+        if tokens is None:
+            try:
+                chunks.append(np.array(ends, dtype=np.int64))
+            except OverflowError:
+                tokens = _as_tokens(chunks, ends)
+    if tokens is None and not any(map(len, chunks)):
         raise ValueError("empty edge list: no edges found in input")
 
     labels: tuple | None = None
-    if relabel:
-        seen = {tok for edge in raw_edges for tok in edge}
-        # numeric order only when every token round-trips through int, so
-        # padded variants like "01" vs "1" stay distinct string labels
-        if all(tok.lstrip("-").isdigit() and str(int(tok)) == tok for tok in seen):
-            ordered = sorted(seen, key=int)
-            label_values: tuple = tuple(int(t) for t in ordered)
-        else:
-            ordered = sorted(seen)
-            label_values = tuple(ordered)
-        mapping = {tok: i for i, tok in enumerate(ordered)}
-        edges = [(mapping[a], mapping[b]) for a, b in raw_edges]
-        labels = label_values
-        n = len(ordered)
+    if tokens is not None:
+        ids, labels = _token_ids(tokens, relabel)
+        del tokens
     else:
-        edges = []
-        for a, b in raw_edges:
-            try:
-                edges.append((int(a), int(b)))
-            except ValueError:
-                raise ValueError(
-                    f"non-integer node tokens ({a!r}, {b!r}); load with relabel=True"
-                ) from None
-        if any(u < 0 or v < 0 for u, v in edges):
+        ids = np.concatenate(chunks)
+        del chunks
+        if relabel:
+            distinct = _sorted_distinct(ids.copy())
+            ids = np.searchsorted(distinct, ids)
+            labels = tuple(distinct.tolist())
+    if labels is None:
+        if (ids < 0).any():
             raise ValueError("negative node ids are not allowed without relabel")
-        n = max(max(u, v) for u, v in edges) + 1
+        n = int(ids.max()) + 1
+        ids = ids.astype(np.int64, copy=False)  # OverflowError outside int64
+    else:
+        n = len(labels)
 
-    g = from_edges(n, edges)
-    self_loops = sum(u == v for u, v in edges)
-    duplicates = len(edges) - self_loops - g.edge_count
+    u, v = ids[0::2], ids[1::2]
+    keep = u != v
+    kept = int(np.count_nonzero(keep))
+    self_loops = u.size - kept
+    u, v = u[keep], v[keep]
+    # _csr's keys are the peak of a load; the endpoints are freed before it
+    del ids, keep
+    g = _csr(n, u, v)
+    duplicates = kept - g.edge_count
     if self_loops or duplicates:
         log.warning(
             "dropped %d self-loop(s) and %d duplicate edge(s) while loading",
@@ -249,6 +277,64 @@ def load_edge_list(source: str | IO[str], relabel: bool = False) -> Graph:
     if labels is not None:
         g = dataclasses.replace(g, labels=labels)
     return g
+
+
+def _blocks(source: str | IO[str]) -> Iterator[str]:
+    """Consecutive pieces of a text or open text stream, each of about
+    _BLOCK_CHARS characters and ending at a line break, so that each piece's
+    splitlines() are the text's next lines."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _BLOCK_CHARS) + 1 or len(source)
+            yield source[start:end]
+            start = end
+    else:
+        # a stream whose lines end at "\r" alone can end a block inside a
+        # "\r\n", which splitlines already counted as one line break
+        after_cr = False
+        while block := source.read(_BLOCK_CHARS):
+            block += source.readline()
+            yield block[1:] if after_cr and block[0] == "\n" else block
+            after_cr = block[-1] == "\r"
+
+
+def _as_tokens(chunks: list[np.ndarray], ends: list[int]) -> list[str]:
+    """The endpoints parsed so far as tokens: int() reads str(id) back as the
+    same id, and under relabel str(id) is the token itself."""
+    return [str(x) for chunk in chunks for x in chunk.tolist()] + list(map(str, ends))
+
+
+def _is_numeric_label(token: str) -> bool:
+    """True when int() accepts the token and str() of the result gives it
+    back: "-3" and "12" are numeric labels, "+1", "01", "1_0" and "²" not."""
+    try:
+        return str(int(token)) == token
+    except ValueError:
+        return False
+
+
+def _token_ids(tokens: list[str], relabel: bool) -> tuple[np.ndarray, tuple | None]:
+    """Endpoint ids, and labels under relabel, of an edge list given as its
+    endpoint tokens, when some token is not an int64 id (a numeric label,
+    under relabel). Without relabel the ids are an object array of Python
+    ints, for the caller's checks."""
+    if relabel:
+        distinct = set(tokens)
+        numeric = all(map(_is_numeric_label, distinct))
+        ordered = sorted(distinct, key=int if numeric else None)
+        index = {tok: i for i, tok in enumerate(ordered)}
+        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        return ids, tuple(map(int, ordered)) if numeric else tuple(ordered)
+    values = []
+    for a, b in zip(tokens[0::2], tokens[1::2]):
+        try:
+            values += int(a), int(b)
+        except ValueError:
+            raise ValueError(
+                f"non-integer node tokens ({a!r}, {b!r}); load with relabel=True"
+            ) from None
+    return np.array(values, dtype=object), None
 
 
 def save_edge_list(g: Graph, stream: IO[str]) -> None:

@@ -1,12 +1,16 @@
+import dataclasses
 import io
+import logging
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lexcent import graph
 from lexcent.graph import (
     EdgeListParseError,
     Graph,
@@ -187,6 +191,75 @@ def test_from_edges_accepts_numpy_integers_and_generators():
 # edge-list parsing
 
 
+def reference_load_edge_list(source, relabel=False):
+    """The whole text split into a list of lines, one tuple of tokens per
+    edge, a dict from label to id and from_edges' checked build (the oracle
+    for load_edge_list)."""
+    if not isinstance(relabel, bool):
+        raise ValueError(f"relabel must be true or false, got {relabel!r}")
+    text = source if isinstance(source, str) else source.read()
+    raw_edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(("#", "%")):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(
+                f"expected 2 node tokens, got {len(tokens)}: {stripped!r}", lineno
+            )
+        raw_edges.append((tokens[0], tokens[1]))
+    if not raw_edges:
+        raise ValueError("empty edge list: no edges found in input")
+
+    labels = None
+    if relabel:
+        seen = {tok for edge in raw_edges for tok in edge}
+        # numeric order only when int() reads every token and str() gives it
+        # back, so padded variants like "01" vs "1" stay distinct strings
+        if all(reference_is_numeric_label(tok) for tok in seen):
+            ordered = sorted(seen, key=int)
+            labels = tuple(int(t) for t in ordered)
+        else:
+            ordered = sorted(seen)
+            labels = tuple(ordered)
+        mapping = {tok: i for i, tok in enumerate(ordered)}
+        edges = [(mapping[a], mapping[b]) for a, b in raw_edges]
+        n = len(ordered)
+    else:
+        edges = []
+        for a, b in raw_edges:
+            try:
+                edges.append((int(a), int(b)))
+            except ValueError:
+                raise ValueError(
+                    f"non-integer node tokens ({a!r}, {b!r}); load with relabel=True"
+                ) from None
+        if any(u < 0 or v < 0 for u, v in edges):
+            raise ValueError("negative node ids are not allowed without relabel")
+        n = max(max(u, v) for u, v in edges) + 1
+
+    g = from_edges(n, edges)
+    self_loops = sum(u == v for u, v in edges)
+    duplicates = len(edges) - self_loops - g.edge_count
+    if self_loops or duplicates:
+        logging.getLogger("lexcent.graph").warning(
+            "dropped %d self-loop(s) and %d duplicate edge(s) while loading",
+            self_loops,
+            duplicates,
+        )
+    if labels is not None:
+        g = dataclasses.replace(g, labels=labels)
+    return g
+
+
+def reference_is_numeric_label(tok):
+    try:
+        return str(int(tok)) == tok
+    except ValueError:
+        return False
+
+
 def test_load_simple():
     g = load_edge_list("0 1\n1 2")
     assert g.node_count == 3
@@ -254,6 +327,157 @@ def test_round_trip():
         # trailing isolated nodes are not representable in an edge list
         assert reloaded.edge_count == g.edge_count
         assert list(reloaded.edges()) == list(g.edges())
+
+
+@pytest.mark.parametrize("load", [load_edge_list, reference_load_edge_list])
+@pytest.mark.parametrize(
+    "text, labels",
+    [
+        # int() rejects both first tokens, so every label is a string
+        ("--5 1", ("--5", "1")),
+        ("\u00b2 1", ("1", "\u00b2")),
+        ("-5 1\n1 -12", (-12, -5, 1)),
+        ("+1 1\n1_0 10", ("+1", "1", "10", "1_0")),
+    ],
+)
+def test_load_relabel_numeric_only_when_int_gives_the_token_back(load, text, labels):
+    g = load(text, relabel=True)
+    assert g.labels == labels
+    assert g.node_count == len(labels)
+
+
+@pytest.mark.parametrize("load", [load_edge_list, reference_load_edge_list])
+def test_load_without_relabel_reads_tokens_through_int(load):
+    g = load("+1 01\n1_0 2\n0 1")
+    assert g.node_count == 11
+    assert sorted(g.edges()) == [(0, 1), (2, 10)]
+
+
+def test_load_relabel_numeric_labels_beyond_int64():
+    big = 2**64
+    g = load_edge_list(f"{big} 5\n-{big} 5", relabel=True)
+    assert g.labels == (-big, 5, big)
+    assert sorted(g.edges()) == [(0, 1), (1, 2)]
+
+
+EDGE_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "7", "12", "-1", "-0", "01", "007", "+1", "1_0",
+     "a", "b", "\u00b2", "--5", str(2**63), str(-(2**63) - 1)]
+)
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])
+SPACES = st.sampled_from([" ", "\t", "  "])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list text: mostly edges over a few tokens (so duplicates in
+    both orientations and self-loops are common), some comments and blank
+    lines, now and then a line of 1 or 3 tokens, and mixed line breaks."""
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("eeeeeeccbm"), max_size=30)):
+        if kind == "c":
+            lines.append(draw(st.sampled_from(["", " "])) + draw(st.sampled_from("#%"))
+                         + draw(st.sampled_from(["", " 1 2", "comment"])))
+        elif kind == "b":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+        else:
+            count = 2 if kind == "e" else draw(st.sampled_from([1, 3]))
+            tokens = draw(st.lists(EDGE_TOKENS, min_size=count, max_size=count))
+            lines.append(draw(SPACES).join(tokens) + draw(st.sampled_from(["", " "])))
+    text = ""
+    for line in lines:
+        text += line + draw(LINE_BREAKS)
+    return text if draw(st.booleans()) else text.rstrip("\r\n\x0b\u2028")
+
+
+def load_outcome(load, source, relabel, caplog):
+    """What a loader returns or raises, and the warnings it logs."""
+    caplog.clear()
+    try:
+        g = load(source, relabel=relabel)
+    except (ValueError, OverflowError) as err:
+        result = (type(err), str(err), getattr(err, "line_number", None))
+    else:
+        labels = None if g.labels is None else (g.labels, [type(x) for x in g.labels])
+        result = (g.node_count, g.indptr.dtype, g.indptr.tolist(), g.indices.dtype,
+                  g.indices.tolist(), g.edge_count, labels)
+    return result, [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+
+SOURCES = {
+    "str": lambda text: text,
+    "StringIO": io.StringIO,
+    # a file's universal-newline decoding, as the CLI reads --graph files
+    "TextIOWrapper": lambda text: io.TextIOWrapper(io.BytesIO(text.encode())),
+    # lines that end at any break, or at "\r" alone, without translation
+    "TextIOWrapper-untranslated": lambda text: io.TextIOWrapper(io.BytesIO(text.encode()),
+                                                                newline=""),
+    "TextIOWrapper-cr": lambda text: io.TextIOWrapper(io.BytesIO(text.encode()), newline="\r"),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=edge_list_texts(), relabel=st.booleans(), source=st.sampled_from(sorted(SOURCES)),
+       block_chars=st.sampled_from([1, 5, graph._BLOCK_CHARS]))
+@example(text="0 1\r\n1 0\r\n# c\r\n\r\n2 2\r\n", relabel=False, source="str", block_chars=1)
+@example(text="% c\n-1 1\n5 5\n1 -1", relabel=True, source="StringIO", block_chars=5)
+@example(text="1 2\n3", relabel=True, source="TextIOWrapper", block_chars=1)
+@example(text="a b\n3 4 5\n", relabel=False, source="str", block_chars=5)
+def test_load_matches_reference(caplog, text, relabel, source, block_chars):
+    # small blocks put block ends inside every kind of line and line break
+    caplog.set_level(logging.WARNING, logger="lexcent.graph")
+    make = SOURCES[source]
+    expected = load_outcome(reference_load_edge_list, make(text), relabel, caplog)
+    default, graph._BLOCK_CHARS = graph._BLOCK_CHARS, block_chars
+    try:
+        assert load_outcome(load_edge_list, make(text), relabel, caplog) == expected
+    finally:
+        graph._BLOCK_CHARS = default
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("relabel", [True, False])
+@pytest.mark.parametrize("late", ["", "a 1", "+1 2", f"{2**63} 1", "1 2 3"])
+def test_load_long_text_matches_reference(caplog, late, relabel, source):
+    # about a dozen blocks of integer lines with CRLF breaks and comments; the
+    # late line, after several blocks, switches the load to string tokens or
+    # raises
+    caplog.set_level(logging.WARNING, logger="lexcent.graph")
+    rng = random.Random(3)
+    lines = [f"{rng.randrange(500)}\t{rng.randrange(500)}" if i % 7 else "# c"
+             for i in range(12_000)]
+    lines.insert(9000, late)
+    text = "\r\n".join(lines)
+    assert len(text) > 10 * graph._BLOCK_CHARS
+    make = SOURCES[source]
+    expected = load_outcome(reference_load_edge_list, make(text), relabel, caplog)
+    assert load_outcome(load_edge_list, make(text), relabel, caplog) == expected
+
+
+def integer_edge_list(edge_count, label_range, seed):
+    """Edges over 6000 distinct integer labels drawn from [0, label_range),
+    one `label label` line each, after a comment line."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(label_range, size=6000, replace=False)
+    ends = labels[rng.integers(0, labels.size, size=(edge_count, 2))]
+    return "# integer labels\n" + "".join(f"{u} {v}\n" for u, v in ends.tolist())
+
+
+@pytest.mark.parametrize("relabel, label_range", [(True, 10**6), (False, 6000)])
+def test_load_traced_peak_memory(relabel, label_range):
+    # sparse labels as in sparse6k under relabel, ids 0..5999 without. A
+    # list of lines and a tuple per edge peak at 4.6 and 4.0 MB here, int64
+    # arrays per block at 1.1 and 0.8 MB.
+    text = integer_edge_list(10_000, label_range, seed=4)
+    tracemalloc.start()
+    try:
+        g = load_edge_list(text, relabel=relabel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 9_900
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
