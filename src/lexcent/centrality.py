@@ -21,6 +21,9 @@ from .graph import (
 
 MEASURES = ("DC", "EC", "CC", "BC", "GC")
 
+# (node, source) terms that gravity looks up and sums per step
+_GRAVITY_CHUNK_ELEMENTS = 1 << 13
+
 CC_COMPONENT_SCALED = "component_scaled"
 CC_PAPER_LITERAL = "paper_literal"
 CC_CONVENTIONS = (CC_COMPONENT_SCALED, CC_PAPER_LITERAL)
@@ -274,8 +277,10 @@ def betweenness_centrality(
             )
             levels.append(frontier)
             dag.append((parent, child))
+        # the source's own dependency is never added, so the walk stops at
+        # depth 1 and adds that level's deltas last
         delta = np.zeros(levels[-1].size)
-        for d in range(len(dag) - 1, -1, -1):
+        for d in range(len(dag) - 1, 0, -1):
             bc[levels[d + 1]] += delta
             coeff = (1.0 + delta) / sigmas[d + 1]
             parent, child = dag[d]
@@ -292,6 +297,8 @@ def betweenness_centrality(
                 weights=sigmas[d].take(parent) * coeff.take(child),
                 minlength=levels[d].size,
             )
+        if dag:
+            bc[levels[1]] += delta
         unseen[np.concatenate(levels)] = True
     bc /= 2.0  # undirected: every pair was accumulated from both endpoints
     if normalized:
@@ -311,10 +318,13 @@ def gravity_centrality(
     term is Python's ``(ks_i * ks_j) / (d**exponent)``, evaluated once per
     pair of shell values and distance, and each source adds its terms one
     at a time in ascending node order. The bit-packed BFS runs ``radius``
-    levels for 64 sources at once and writes their terms into a 64 x n
-    block; a running sum along each row then adds them in that order (adding
-    0.0 for out-of-radius nodes is exact), so scores are bitwise those of a
-    per-source loop.
+    levels for 64 sources at once and keeps only each (node, source)
+    distance, in the smallest unsigned type that holds min(radius, n) (one
+    byte below 256). Terms are then
+    looked up in a flat (distance, shell, shell) table, distance 0 giving
+    0.0, a few thousand at a time, and a running sum down each source's
+    column adds them in ascending node order (adding 0.0 for out-of-radius
+    nodes is exact), so scores are bitwise those of a per-source loop.
     """
     _MeasureSettings(gc_radius=radius, gc_exponent=exponent)
     scores = _gravity_at(g, np.arange(g.node_count), radius, exponent)
@@ -327,18 +337,37 @@ def _gravity_at(g: Graph, sources: np.ndarray, radius: int, exponent: int) -> np
     n = g.node_count
     shell_values, shell_of = np.unique(k_shell(g), return_inverse=True)
     ks: list[int] = shell_values.tolist()
-    # terms[d - 1][a, b]: the term of shells ks[a], ks[b] at distance d
-    terms: list[np.ndarray] = []
+    s = len(ks)
+    # table[(d * s + b) * s + a]: the term of a source in shell ks[a] and a
+    # node in shell ks[b] at distance d, 0.0 at d = 0; a distance's terms are
+    # added when the first block reaches it
+    table = np.zeros(s * s)
+    node_key = shell_of * s
+    dtype = np.min_scalar_type(min(radius, n))
     scores = np.zeros(n)
     for block, levels in _bfs_blocks(g, max_depth=radius, sources=sources):
-        rows = np.zeros((block.size, n))
+        # dist[v, j]: the distance from block[j] to v, 0 if beyond radius
+        dist = np.zeros((n, block.size), dtype=dtype)
         for depth, nodes, bits in levels:
-            if depth > len(terms):
-                terms.append(np.array([[a * b / depth**exponent for b in ks] for a in ks]))
-            hit = _source_bits(bits).T[: block.size]
-            term = terms[depth - 1][shell_of[block]][:, shell_of[nodes]]
-            rows[:, nodes] += np.where(hit, term, 0.0)
-        scores[block] = np.cumsum(rows, axis=1)[:, -1]
+            if table.size <= depth * s * s:
+                table = np.concatenate(
+                    (table, [ks_i * ks_j / depth**exponent for ks_j in ks for ks_i in ks])
+                )
+            dist[nodes] += _source_bits(bits)[:, : block.size] * dtype.type(depth)
+        # ``width`` nodes at a time, ascending; run[0] carries each source's
+        # running total into the next chunk
+        width = max(1, _GRAVITY_CHUNK_ELEMENTS // block.size)
+        run = np.zeros((width + 1, block.size))
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            key = np.multiply(dist[lo:hi], s * s, dtype=np.intp)
+            key += node_key[lo:hi, None]
+            key += shell_of[block]
+            part = run[: hi - lo + 1]
+            table.take(key, out=part[1:], mode="clip")
+            np.cumsum(part, axis=0, out=part)
+            run[0] = part[-1]
+        scores[block] = run[0]
     return scores[sources]
 
 

@@ -12,7 +12,10 @@ writes; _write_outputs then makes the output directory and writes them,
 the node labels and the resolved config (run_config.json), so a command
 that fails leaves no run_config.json behind. Every CSV goes through _write
 (csv quoting: a field holding a comma, a quote or a line break is quoted)
-and every JSON file through _json. Identical configs (including rng_seed)
+and every JSON file through _json. A CSV table's rows are a lazy iterable
+that _write consumes once, formatting each row as it is written, so no
+command holds its rows as strings; everything they read is computed before
+any file is written. Identical configs (including rng_seed)
 produce byte-identical files. --threads is accepted and recorded in
 run_config.json but has no effect: every command runs in one thread.
 Errors exit nonzero with a single 'error: ...' line on stderr.
@@ -27,10 +30,10 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import datasets
-from .centrality import CC_CONVENTIONS, MEASURES, compute_centrality
+from .centrality import CC_CONVENTIONS, MEASURES, CentralityVector, compute_centrality
 from .evaluation import DEFAULT_REPETITIONS, DEFAULT_TAU_VARIANT, DEFAULT_X_PERCENT
 from .evaluation import EVAL_MEASURES, benchmark_runtime, evaluate_dataset, rank_vs_score_series
 from .graph import Graph, dataset_stats, generate_barabasi_albert, load_edge_list
@@ -214,7 +217,9 @@ def _sir_params(config: RunConfig) -> SirParams:
 
 @dataclass(frozen=True)
 class _Outputs:
-    """What one command computed, for _write_outputs to write."""
+    """What one command computed, for _write_outputs to write. A CSV's rows
+    are a one-pass iterator over computed values, formatted as _write
+    consumes it; write an _Outputs once."""
 
     files: dict[str, tuple | str]  # by file name: a CSV (header, rows) or JSON text
     lines: list[str]  # stdout, printed once every file is written
@@ -256,18 +261,24 @@ def _dataset_tag(config: RunConfig) -> str:
     return config.dataset or config.generate or Path(config.graph or "graph").stem
 
 
-def _matrix_table(rm: RankingMatrix) -> tuple[list[str], list[tuple]]:
+def _matrix_table(rm: RankingMatrix) -> tuple[list[str], Iterator[tuple]]:
     """ranking_matrix.csv: each node's rounded values, at rm's precision."""
-    return ["node", *rm.measure_order], [
+    return ["node", *rm.measure_order], (
         (node, *(f"{v:.{rm.precision}f}" for v in values))
         for node, values in enumerate(rm.scaled / 10.0**rm.precision)
-    ]
+    )
 
 
-def _scores_table(results: list[SirResult]) -> tuple[list[str], list[tuple]]:
-    return ["node", "mean_score", "std"], [
+def _centrality_table(vec: CentralityVector) -> tuple[list[str], Iterator[tuple]]:
+    return ["node", "measure", "score"], (
+        (node, vec.measure, f"{score:.12g}") for node, score in enumerate(vec.scores)
+    )
+
+
+def _scores_table(results: list[SirResult]) -> tuple[list[str], Iterator[tuple]]:
+    return ["node", "mean_score", "std"], (
         (node, f"{r.mean_score:.12g}", f"{r.score_std:.12g}") for node, r in enumerate(results)
-    ]
+    )
 
 
 def cmd_centrality(config: RunConfig) -> _Outputs:
@@ -293,10 +304,7 @@ def cmd_centrality(config: RunConfig) -> _Outputs:
             files["ranking_lsc.json"] = _json(dataclasses.asdict(ranking), indent=None)
             files["ranking_matrix.csv"] = _matrix_table(rm)
         else:
-            vec = vectors[measure.upper()]
-            files[f"centrality_{measure}.csv"] = (["node", "measure", "score"], [
-                (node, vec.measure, f"{score:.12g}") for node, score in enumerate(vec.scores)
-            ])
+            files[f"centrality_{measure}.csv"] = _centrality_table(vectors[measure.upper()])
     out = Path(config.output_dir)
     return _Outputs(files, [f"wrote centrality outputs for {_dataset_tag(config)} to {out}"],
                     g.labels)
@@ -323,7 +331,7 @@ def cmd_sir(config: RunConfig) -> _Outputs:
         seeds = list(ranking.ordered_nodes[: config.top])
     curve = spread_curve(g, seeds, params).curve
     files = {f"sir_curve_{tag}.csv": (["t", "mean_cumulative_infected"],
-                                      [(t, f"{value:.12g}") for t, value in enumerate(curve)])}
+                                      ((t, f"{value:.12g}") for t, value in enumerate(curve)))}
     return _Outputs(files, [f"wrote spread curve for seeds {seeds} to {out}"], g.labels)
 
 
@@ -341,10 +349,10 @@ def cmd_evaluate(config: RunConfig) -> _Outputs:
             "tau_variant", "measures")
     files: dict[str, tuple | str] = {
         "eval_report.json": _json({key: getattr(report, key) for key in keys}),
-        "eval_report.csv": (["dataset", "measure", "tau", "top_x_overlap", "top_x_k"], [
+        "eval_report.csv": (["dataset", "measure", "tau", "top_x_overlap", "top_x_k"], (
             (report.dataset, tag, f"{row['tau']:.12g}", row["top_x_overlap"], row["top_x_k"])
             for tag, row in report.measures.items()
-        ]),
+        )),
         "sir_scores.csv": _scores_table(report.sir_results),
     }
     # rank-vs-score series per measure (plot-ready), plus inversion summary
@@ -352,12 +360,12 @@ def cmd_evaluate(config: RunConfig) -> _Outputs:
     for tag in EVAL_MEASURES:
         nodes = report.rankings[tag].ordered_nodes
         scores, count = rank_vs_score_series(report.rankings[tag], report.ground_truth)
-        files[f"rank_vs_score_{tag.lower()}.csv"] = (["index", "node", "score"], [
+        files[f"rank_vs_score_{tag.lower()}.csv"] = (["index", "node", "score"], (
             (index, node, f"{score:.12g}")
-            for index, (node, score) in enumerate(zip(nodes, scores.tolist()))
-        ])
+            for index, (node, score) in enumerate(zip(nodes, scores))
+        ))
         inversions.append((tag, count))
-    files["inversions.csv"] = (["measure", "adjacent_inversions"], inversions)
+    files["inversions.csv"] = (["measure", "adjacent_inversions"], iter(inversions))
     out = Path(config.output_dir)
     return _Outputs(files, [f"wrote evaluation report for {_dataset_tag(config)} to {out}"],
                     g.labels)
@@ -371,7 +379,7 @@ def cmd_bench(config: RunConfig) -> _Outputs:
     means = result.mean_seconds.items()
     files = {
         "benchmark.csv": (["measure", "mean_seconds", "repetitions"],
-                          [(tag, f"{mean:.6f}", result.repetitions) for tag, mean in means]),
+                          ((tag, f"{mean:.6f}", result.repetitions) for tag, mean in means)),
         "benchmark.json": _json(dataclasses.asdict(result)),
     }
     return _Outputs(files, [f"{tag}: {mean:.4f} s (mean of {result.repetitions})"
@@ -381,10 +389,10 @@ def cmd_bench(config: RunConfig) -> _Outputs:
 def cmd_stats(config: RunConfig) -> _Outputs:
     g = _load_graph(config)
     stats = dataset_stats(g)
-    files = {"stats.csv": (["nodes", "edges", "mean_degree", "max_degree", "density"], [(
+    files = {"stats.csv": (["nodes", "edges", "mean_degree", "max_degree", "density"], iter([(
         stats.node_count, stats.edge_count, f"{stats.mean_degree:.7g}", stats.max_degree,
         f"{stats.density:.7g}",
-    )])}
+    )]))}
     return _Outputs(files, [
         f"{_dataset_tag(config)}: nodes={stats.node_count} edges={stats.edge_count} "
         f"mean_degree={stats.mean_degree:.4f} max_degree={stats.max_degree} "

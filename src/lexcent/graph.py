@@ -163,14 +163,20 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """The simple graph on nodes 0..n-1 with the edges (u[k], v[k]), from
     int64 endpoint arrays without self-loops; an edge given more than once,
     in either orientation, is one edge."""
-    # one key src * n + dst per adjacency entry, both directions of each edge;
-    # the sorted distinct keys are the CSR entries in row order, and each
-    # row's neighbors ascending
-    keys = _sorted_distinct(np.concatenate((u * n + v, v * n + u)))
-    src, dst = np.divmod(keys, n)
+    # one key src * n + dst per adjacency entry, both directions of each edge,
+    # written in place into one array; the sorted distinct keys are the CSR
+    # entries in row order, and each row's neighbors ascending
+    m = u.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.add(np.multiply(u, n, out=keys[:m]), v, out=keys[:m])
+    np.add(np.multiply(v, n, out=keys[m:]), u, out=keys[m:])
+    keys = _sorted_distinct(keys)
+    # src, then dst in the keys' own memory, so no two of them are alive
+    # beside the keys at once
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, dst.astype(np.int32), keys.size // 2)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    dst = np.remainder(keys, n, out=keys).astype(np.int32)
+    return Graph(n, indptr, dst, dst.size // 2)
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -434,27 +440,34 @@ def k_shell(g: Graph) -> np.ndarray:
     """k-core decomposition by iterative peeling.
 
     For k = 0, 1, 2, ... remove (cascading) every node whose remaining degree
-    is <= k; a node's shell index is the k at which it was removed.
+    is <= k; a node's shell index is the k at which it was removed. Each
+    round of the cascade peels all such nodes at once and takes one off
+    their live neighbors' degrees; the decomposition is unique, so the
+    shells are those of peeling one node at a time.
     """
     n = g.node_count
     indptr, indices = g.indptr, g.indices
-    deg = np.diff(indptr).astype(np.int64)
+    degrees = np.diff(indptr)
+    deg = degrees.copy()
     shell = np.zeros(n, dtype=np.int32)
     alive = np.ones(n, dtype=bool)
     remaining = n
     k = 0
     while remaining:
-        while True:
-            to_remove = np.nonzero(alive & (deg <= k))[0]
-            if to_remove.size == 0:
-                break
-            for v in to_remove:
-                alive[v] = False
-                shell[v] = k
-                remaining -= 1
-                nbrs = indices[indptr[v] : indptr[v + 1]]
-                live_nbrs = nbrs[alive[nbrs]]
-                deg[live_nbrs] -= 1
+        peel = np.flatnonzero(alive & (deg <= k))
+        while peel.size:
+            alive[peel] = False
+            shell[peel] = k
+            remaining -= peel.size
+            # the peeled nodes' CSR rows, one after another
+            lens = degrees.take(peel)
+            ends = np.cumsum(lens)
+            pos = np.repeat(indptr.take(peel) - (ends - lens), lens)
+            pos += np.arange(pos.size)
+            nbrs = indices.take(pos)
+            nbrs = nbrs.compress(alive.take(nbrs))
+            np.subtract.at(deg, nbrs, 1)
+            peel = _sorted_distinct(nbrs.compress(deg.take(nbrs) <= k))
         k += 1
     return shell
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -568,6 +569,52 @@ def test_gc_bitwise_equals_reference_on_mixed_shells(radius, exponent):
     g = from_edges(130, core + tail)
     mine = gravity_centrality(g, radius=radius, exponent=exponent).scores
     assert np.array_equal(mine, reference_gravity(g, radius, exponent))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_gc_bitwise_equals_reference_at_block_edges(n):
+    # sources go 64 to a block: one short of a block, one block, one over,
+    # two blocks and one over; sparse random edges leave isolated nodes and
+    # several components
+    g = random_graph(n, 3.0 / n, random.Random(n))
+    for radius, exponent in ((1, 2), (3, 2), (5, 3), (2, 0), (4, -1)):
+        mine = gravity_centrality(g, radius=radius, exponent=exponent).scores
+        assert np.array_equal(mine, reference_gravity(g, radius, exponent))
+
+
+def test_gc_keeps_two_byte_distances_beyond_radius_255():
+    # on path(300) with radius 299, distances up to 299 do not fit a byte
+    g = path_graph(300)
+    for exponent in (1, 2):
+        mine = gravity_centrality(g, radius=299, exponent=exponent).scores
+        assert np.array_equal(mine, reference_gravity(g, 299, exponent))
+
+
+@pytest.mark.parametrize("radius, exponent", [(299, 2), (3, 2), (2, 1)])
+def test_gravity_at_shuffled_sources_equals_reference(radius, exponent):
+    # the tie-driven LSC reader asks for scattered nodes in any order
+    rng = random.Random(radius)
+    core = list(generate_barabasi_albert(100, 4, 7).edges())
+    tails = [(7, 100)] + [(i, i + 1) for i in range(100, 299)] + [(110, 112)]
+    for g in (path_graph(300), from_edges(300, core + tails)):
+        expected = reference_gravity(g, radius, exponent)
+        for size in (1, 63, 65, 200):
+            sources = np.array(rng.sample(range(g.node_count), size))
+            assert np.array_equal(_gravity_at(g, sources, radius, exponent), expected[sources])
+
+
+def test_gc_traced_peak_memory():
+    # per 64-source block: a byte per (node, source) distance and chunks of
+    # 2**13 terms; a 64 x n float64 term block and its row cumsum peaked at
+    # 2.19 MB here
+    g = generate_barabasi_albert(1000, 10, 1)
+    tracemalloc.start()
+    try:
+        gravity_centrality(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -878,3 +878,45 @@ def test_commands_do_not_import_numpy_ma(tmp_path, argv):
             " print(status, 'numpy.ma' in sys.modules)")
     argv = [*argv, "--generate", "ba:200:3:1", "--out", str(tmp_path / "o")]
     assert _in_fresh_process(code, *argv).splitlines()[-1] == "0 False"
+
+
+def _command_outputs(argv):
+    """The _Outputs that a command returns, before anything is written."""
+    args = lexcent.cli.build_parser().parse_args(argv)
+    config = lexcent.cli._resolve_config(args)
+    config.validate()
+    return args.func(config)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--beta", "0.05", "--reps", "20"],
+    ["sir", "--beta", "0.05", "--reps", "20"],
+    ["sir", "--seeds-from", "lsc", "--top", "3", "--beta", "0.05", "--steps", "5", "--reps", "20"],
+    ["centrality", "--measures", "dc,gc,lsc"],
+], ids=["evaluate", "sir", "sir-curve", "centrality"])
+def test_csv_rows_are_one_pass_iterators(tmp_path, argv):
+    # no command holds a file's rows as a list of formatted tuples; _write
+    # formats each row as it consumes it
+    outputs = _command_outputs([*argv, "--generate", "ba:200:3:1", "--out", str(tmp_path)])
+    tables = {name: content[1] for name, content in outputs.files.items()
+              if isinstance(content, tuple)}
+    assert tables
+    for name, rows in tables.items():
+        assert not isinstance(rows, (list, tuple)), name
+        assert iter(rows) is rows, name
+
+
+def test_centrality_tables_each_name_their_own_measure(small_graph_file, tmp_path):
+    # the rows are formatted after cmd_centrality returns, so each table
+    # must hold its own vector, not the last one the loop saw
+    out = tmp_path / "out"
+    argv = ["centrality", "--graph", str(small_graph_file), "--measures", "dc,ec,cc,bc,gc",
+            "--out", str(out)]
+    assert run(argv) == 0
+    g = load_edge_list(small_graph_file.read_text(), relabel=True)
+    for measure in ("dc", "ec", "cc", "bc", "gc"):
+        with open(out / f"centrality_{measure}.csv", newline="") as stream:
+            rows = list(csv.reader(stream))[1:]
+        assert {row[1] for row in rows} == {measure.upper()}
+        scores = compute_centrality(g, measure).scores
+        assert [row[2] for row in rows] == [f"{score:.12g}" for score in scores]

@@ -110,6 +110,24 @@ def test_csr_matches_unique_build(seed):
     assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
 
 
+def test_csr_traced_peak_memory():
+    # one key array filled in place, then src and dst one after the other:
+    # 2.2 times the endpoint bytes here, 3.6 times with concatenated
+    # temporaries and np.divmod
+    rng = np.random.default_rng(5)
+    n = 20_000
+    u, v = rng.integers(0, n, size=(2, 100_000))
+    u, v = u[u != v], v[u != v]
+    tracemalloc.start()
+    try:
+        g = _csr(n, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == reference_csr(n, u, v)
+    assert peak < 3.0 * (u.nbytes + v.nbytes)
+
+
 def nested_loop_edges(g):
     return [(u, int(v)) for u in range(g.node_count) for v in g.neighbors(u) if u < v]
 
@@ -745,6 +763,54 @@ def brute_force_k_shell(g):
                     changed = True
         k += 1
     return [shell[v] for v in range(g.node_count)]
+
+
+def reference_k_shell(g):
+    """Peeling one node at a time, each removal taking one off its live
+    neighbors' degrees (the oracle for k_shell's all-at-once rounds)."""
+    n = g.node_count
+    indptr, indices = g.indptr, g.indices
+    deg = np.diff(indptr).astype(np.int64)
+    shell = np.zeros(n, dtype=np.int32)
+    alive = np.ones(n, dtype=bool)
+    remaining = n
+    k = 0
+    while remaining:
+        while True:
+            to_remove = np.nonzero(alive & (deg <= k))[0]
+            if to_remove.size == 0:
+                break
+            for v in to_remove:
+                alive[v] = False
+                shell[v] = k
+                remaining -= 1
+                nbrs = indices[indptr[v] : indptr[v + 1]]
+                live_nbrs = nbrs[alive[nbrs]]
+                deg[live_nbrs] -= 1
+        k += 1
+    return shell
+
+
+@st.composite
+def k_shell_graphs(draw):
+    """Up to 150 nodes and 4n random pairs: draws run from edgeless graphs
+    to a mean degree near 8, with isolated nodes and several components."""
+    n = draw(st.integers(min_value=0, max_value=150))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    return from_edges(n, [(a, b) for a, b in pairs if a != b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(k_shell_graphs())
+@example(generate_barabasi_albert(300, 3, 1))
+@example(complete_graph(20))
+@example(path_graph(151))
+@example(from_edges(3, []))
+def test_k_shell_equals_one_node_at_a_time_reference(g):
+    shells = k_shell(g)
+    assert shells.dtype == np.int32
+    assert np.array_equal(shells, reference_k_shell(g))
 
 
 def test_k_shell_cycle_is_two_regular():
