@@ -142,7 +142,6 @@ def eigenvector_centrality(
             iterations=max_iter,
             delta=delta,
         )
-    lam = float(x @ matvec(x))
     params = {
         "tol": tol,
         "max_iter": max_iter,
@@ -394,14 +393,12 @@ def _scores_reader(g: Graph, measure: str, **settings) -> Callable[[np.ndarray],
     return read, where read(nodes) gives the measure's scores at ``nodes``
     (distinct node ids), in that order, as compute_centrality would.
 
-    Nothing is computed until read is called. DC indexes the degrees, CC and
-    GC search from ``nodes`` only, and EC and BC are computed in full; every
-    score is bitwise the full vector's.
+    Nothing is computed until read is called. CC and GC search from
+    ``nodes`` only, and DC, EC and BC are computed in full; every score is
+    bitwise the full vector's.
     """
     s = _MeasureSettings(**settings)
     tag = _check_measure(measure)
-    if tag == "DC":
-        return lambda nodes: g.degrees()[nodes] / (g.node_count - 1)
     if tag == "CC":
         _check_closeness(g)
         return lambda nodes: _closeness_at(g, nodes, s.cc_convention)

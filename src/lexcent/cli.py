@@ -337,20 +337,19 @@ def cmd_sir(config: RunConfig) -> _Outputs:
 
 def cmd_evaluate(config: RunConfig) -> _Outputs:
     g = _load_graph(config)
-    report = evaluate_dataset(
-        g,
-        _sir_params(config),
-        x_percent=config.x_percent,
-        dataset=_dataset_tag(config),
-        tau_variant=config.tau_variant,
-        **config._lsc_settings(),
-    )
-    keys = ("dataset", "beta", "gamma", "replications", "rng_seed", "x_percent", "node_count",
-            "tau_variant", "measures")
+    params = _sir_params(config)
+    report = evaluate_dataset(g, params, x_percent=config.x_percent,
+                              tau_variant=config.tau_variant, **config._lsc_settings())
+    dataset = _dataset_tag(config)
     files: dict[str, tuple | str] = {
-        "eval_report.json": _json({key: getattr(report, key) for key in keys}),
+        "eval_report.json": _json({
+            "dataset": dataset, "beta": params.beta, "gamma": params.gamma,
+            "replications": params.replications, "rng_seed": params.rng_seed,
+            "x_percent": config.x_percent, "node_count": g.node_count,
+            "tau_variant": config.tau_variant, "measures": report.measures,
+        }),
         "eval_report.csv": (["dataset", "measure", "tau", "top_x_overlap", "top_x_k"], (
-            (report.dataset, tag, f"{row['tau']:.12g}", row["top_x_overlap"], row["top_x_k"])
+            (dataset, tag, f"{row['tau']:.12g}", row["top_x_overlap"], row["top_x_k"])
             for tag, row in report.measures.items()
         )),
         "sir_scores.csv": _scores_table(report.sir_results),
@@ -367,8 +366,7 @@ def cmd_evaluate(config: RunConfig) -> _Outputs:
         inversions.append((tag, count))
     files["inversions.csv"] = (["measure", "adjacent_inversions"], iter(inversions))
     out = Path(config.output_dir)
-    return _Outputs(files, [f"wrote evaluation report for {_dataset_tag(config)} to {out}"],
-                    g.labels)
+    return _Outputs(files, [f"wrote evaluation report for {dataset} to {out}"], g.labels)
 
 
 def cmd_bench(config: RunConfig) -> _Outputs:

@@ -71,6 +71,7 @@ REGISTRY: dict[str, DatasetInfo] = {
 }
 
 DEFAULT_DATA_DIR = Path("data")
+FETCH_TIMEOUT_S = 60.0  # seconds a download may wait on the network
 
 
 def bundled_path(name: str) -> Path:
@@ -122,7 +123,6 @@ def fetch(
     name: str,
     data_dir: Path | str = DEFAULT_DATA_DIR,
     force: bool = False,
-    timeout: float = 60.0,
 ) -> Path:
     """Download a registered dataset into ``data_dir`` as a plain edge list.
 
@@ -145,7 +145,7 @@ def fetch(
     import urllib.request
 
     try:
-        with urllib.request.urlopen(info.url, timeout=timeout) as resp:
+        with urllib.request.urlopen(info.url, timeout=FETCH_TIMEOUT_S) as resp:
             payload = resp.read()
     except Exception as exc:
         raise RuntimeError(

@@ -167,18 +167,16 @@ def top_x_overlap(
     """Overlap between the ranking's top k and the top k nodes by score,
     where k = top_x_size(n, x_percent).
 
-    Score ties are broken by descending score then ascending node id.
-    Returns (overlap, k).
+    The top k by score are ranking_from_scores' first k (ties go to the
+    lower node id). Returns (overlap, k).
     """
     arr = np.asarray(scores, dtype=np.float64)
     n = arr.size
     if n != len(ranking.ordered_nodes):
         raise ValueError("ranking and scores cover different node counts")
     k = top_x_size(n, x_percent)
-    truth_order = np.lexsort((np.arange(n), -arr))
-    truth = set(int(i) for i in truth_order[:k])
-    top = set(ranking.ordered_nodes[:k])
-    return len(top & truth), k
+    truth = set(ranking_from_scores(arr, "SIR").ordered_nodes[:k])
+    return len(truth.intersection(ranking.ordered_nodes[:k])), k
 
 
 def rank_vs_score_series(
@@ -253,17 +251,10 @@ def benchmark_runtime(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-measure agreement with SIR ground truth on one dataset."""
+    """Per-measure agreement with SIR ground truth: measures[tag] holds the
+    measure's tau, top_x_overlap and top_x_k."""
 
-    dataset: str
-    beta: float
-    gamma: float
-    replications: int
-    rng_seed: int
-    x_percent: float
-    node_count: int
     measures: dict[str, dict]
-    tau_variant: str
     # per-measure rankings, and the SIR results and their mean scores (the
     # ground truth), that the rows were scored from
     rankings: dict[str, NodeRanking] = field(default_factory=dict, repr=False)
@@ -281,7 +272,6 @@ def evaluate_dataset(
     g: Graph,
     params: SirParams,
     x_percent: float = DEFAULT_X_PERCENT,
-    dataset: str = "",
     tau_variant: str = DEFAULT_TAU_VARIANT,
     precision: int = DEFAULT_PRECISION,
     measure_order: Sequence[str] = DEFAULT_MEASURE_ORDER,
@@ -319,17 +309,4 @@ def evaluate_dataset(
         tau = kendall_tau(values, ground_truth, tau_variant)
         overlap, k = top_x_overlap(ranking, ground_truth, x_percent)
         report_rows[tag] = {"tau": tau, "top_x_overlap": overlap, "top_x_k": k}
-    return EvalReport(
-        dataset=dataset,
-        beta=params.beta,
-        gamma=params.gamma,
-        replications=params.replications,
-        rng_seed=params.rng_seed,
-        x_percent=x_percent,
-        node_count=g.node_count,
-        measures=report_rows,
-        tau_variant=tau_variant,
-        rankings=rankings,
-        sir_results=sir_results,
-        ground_truth=ground_truth,
-    )
+    return EvalReport(report_rows, rankings, sir_results, ground_truth)

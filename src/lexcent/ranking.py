@@ -200,8 +200,8 @@ def lsc(
     rounded to ``precision`` decimal places. The first measure is read for
     every node; each later one only for the nodes that the earlier ones
     leave tied in groups starting before position ``top``, so a measure no
-    tie reaches is never computed. DC indexes the degrees, CC and GC search
-    from the tied nodes only, and EC and BC are computed in full when read.
+    tie reaches is never computed. CC and GC search from the tied nodes
+    only, and DC, EC and BC are computed in full when read.
     Errors are raised for the values the sort reads: measure errors (EC on
     an edgeless graph, say) and the int64 overflow ValueError. Values it
     never reads are neither computed nor rounded (build_ranking_matrix, in

@@ -21,18 +21,20 @@ and the percolation sample of replication r draw from (rng_seed, r). Results
 are therefore bit-identical no matter how the work is ordered or batched.
 
 Curves, spreading_score, run_single and score_all_nodes at gamma < 1 or with
-max_steps run one simulator, _simulate, which advances a block of
-replications together: the block's frontier is a list of (run, node) pairs
-and one CSR gather per step collects every run's contacts. Each run still
-consumes its own stream exactly as a run simulated alone would. Per step it
-draws, in one call, one uniform per susceptible contact in frontier order
-(infection) followed, when gamma < 1, by one per frontier node (recovery);
-Generator.random(a + b) yields the same values as random(a) then random(b),
-so this is the draw sequence of a per-run loop that makes the two calls
-separately. A run's next frontier is its surviving nodes in their previous
-order, then its new infections in ascending node order. Results are
-therefore bitwise equal to that per-run loop, which tests/test_sir.py keeps
-as the oracle reference_spread.
+max_steps run one simulator, _simulate, which returns every run's final size
+and the summed cumulative curve, padded to max_steps + 1 when there is a
+step cap. It advances a block of replications together: the block's
+frontier is a list of (run, node) pairs and one CSR gather per step
+collects every run's contacts. Each run still consumes its own stream
+exactly as a run simulated alone would. Per step it draws, in one call,
+one uniform per susceptible contact in frontier order (infection) followed,
+when gamma < 1, by one per frontier node (recovery); Generator.random(a + b)
+yields the same values as random(a) then random(b), so this is the draw
+sequence of a per-run loop that makes the two calls separately. A run's
+next frontier is its surviving nodes in their previous order, then its new
+infections in ascending node order. Results are therefore bitwise equal to
+that per-run loop, which tests/test_sir.py keeps as the oracle
+reference_spread.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class SirResult:
 
     mean_score: float
     score_std: float
-    per_replication_scores: tuple[int, ...] | None = None
     curve: np.ndarray | None = None
 
 
@@ -107,26 +108,14 @@ def run_single(
     at |seeds| and gains one entry per executed step; when max_steps is set
     it is padded to length max_steps + 1 with the final value.
     """
-    curve: list[int] = []
-    finals = _simulate(g, [(_check_seeds(g, seeds), rng)], params.beta, params.gamma,
-                       params.max_steps, curve)
-    if params.max_steps is not None:
-        curve.extend([curve[-1]] * (params.max_steps + 1 - len(curve)))
+    finals, curve = _simulate(g, [(_check_seeds(g, seeds), rng)], params)
     return int(finals[0]), curve
 
 
-def spreading_score(
-    g: Graph,
-    seed: int,
-    params: SirParams,
-    keep_replications: bool = False,
-) -> SirResult:
+def spreading_score(g: Graph, seed: int, params: SirParams) -> SirResult:
     """Mean final spread size over ``params.replications`` independent runs
     with node ``seed`` as the sole initially infectious node."""
-    seed_arr = _check_seeds(g, [seed])
-    runs = ((seed_arr, _stream(params.rng_seed, (seed, r))) for r in range(params.replications))
-    finals = _simulate(g, runs, params.beta, params.gamma, params.max_steps)
-    return _summary(finals, keep_replications)
+    return _summary(_node_scores(g, _check_seeds(g, [seed]).tolist(), params)[0])
 
 
 def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult:
@@ -136,12 +125,10 @@ def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult
         raise ValueError("spread_curve requires max_steps")
     seed_arr = _check_seeds(g, seeds)
     runs = ((seed_arr, _stream(params.rng_seed, (r,))) for r in range(params.replications))
-    curve: list[int] = []
-    finals = _simulate(g, runs, params.beta, params.gamma, params.max_steps, curve)
-    curve.extend([curve[-1]] * (params.max_steps + 1 - len(curve)))
+    finals, curve = _simulate(g, runs, params)
     # sums of integers below 2**53 are exact, so the mean does not depend on
     # the order in which the runs were added
-    return _summary(finals, curve=np.array(curve, dtype=np.float64) / params.replications)
+    return _summary(finals, np.array(curve, dtype=np.float64) / params.replications)
 
 
 def score_all_nodes(g: Graph, params: SirParams) -> list[SirResult]:
@@ -155,33 +142,31 @@ def score_all_nodes(g: Graph, params: SirParams) -> list[SirResult]:
     """
     if params.gamma == 1.0 and params.max_steps is None:
         return _percolation_scores(g, params)
-    reps = params.replications
     # as many nodes per _simulate call as fill one block, so finals stay small
-    per_call = max(1, _block_runs(g) // reps)
+    per_call = max(1, _block_runs(g) // params.replications)
     results = []
     for first in range(0, g.node_count, per_call):
         nodes = range(first, min(first + per_call, g.node_count))
-        runs = (
-            (np.array([v], dtype=np.int32), _stream(params.rng_seed, (v, r)))
-            for v in nodes
-            for r in range(reps)
-        )
-        finals = _simulate(g, runs, params.beta, params.gamma, params.max_steps)
-        results.extend(_summary(row) for row in finals.reshape(len(nodes), reps))
+        results.extend(map(_summary, _node_scores(g, nodes, params)))
     return results
 
 
-def _summary(
-    finals: np.ndarray, keep_replications: bool = False, curve: np.ndarray | None = None
-) -> SirResult:
+def _node_scores(g: Graph, nodes: Sequence[int], params: SirParams) -> np.ndarray:
+    """Final sizes, one row per node of ``nodes`` and one column per
+    replication; replication r of node v runs from v alone on the
+    (rng_seed, v, r) stream."""
+    runs = (
+        (np.array([v], dtype=np.int32), _stream(params.rng_seed, (v, r)))
+        for v in nodes
+        for r in range(params.replications)
+    )
+    return _simulate(g, runs, params)[0].reshape(len(nodes), params.replications)
+
+
+def _summary(finals: np.ndarray, curve: np.ndarray | None = None) -> SirResult:
     """Mean and ddof=1 std of one contiguous int64 array of final sizes."""
     std = float(finals.std(ddof=1)) if finals.size > 1 else 0.0
-    return SirResult(
-        mean_score=float(finals.mean()),
-        score_std=std,
-        per_replication_scores=tuple(int(v) for v in finals) if keep_replications else None,
-        curve=curve,
-    )
+    return SirResult(mean_score=float(finals.mean()), score_std=std, curve=curve)
 
 
 # Elements one simulation step may touch per block: a step gathers at most
@@ -197,34 +182,35 @@ def _block_runs(g: Graph) -> int:
 def _simulate(
     g: Graph,
     runs: Iterable[tuple[np.ndarray, np.random.Generator]],
-    beta: float,
-    gamma: float,
-    max_steps: int | None,
-    curve: list[int] | None = None,
-) -> np.ndarray:
-    """Final ever-infected count of every (seeds, rng) run, in run order.
+    params: SirParams,
+) -> tuple[np.ndarray, list[int]]:
+    """(finals, curve) of every (seeds, rng) run: finals holds each run's
+    final ever-infected count, in run order; curve[t] is the ever-infected
+    count after step t summed over all runs, where a run that has ended
+    counts its final size. curve runs to the last step any run executed,
+    padded to max_steps + 1 entries when params.max_steps is set.
 
     ``seeds`` is a checked int32 seed array and ``rng`` the run's own stream;
-    runs are consumed lazily, one block of _block_runs(g) at a time. When
-    ``curve`` is given it gains, for t = 0, 1, ..., the ever-infected count
-    summed over all runs after step t, up to the last step any run executed;
-    a run that has ended counts its final size.
+    runs are consumed lazily, one block of _block_runs(g) at a time.
     """
     # int32 CSR offsets keep the per-contact gather index at 4 bytes
     offsets = g.indptr.astype(np.int32) if g.indices.size < 2**31 else g.indptr
     runs = iter(runs)
     finals = [np.empty(0, dtype=np.int64)]
+    curve: list[int] = []
     while block := list(itertools.islice(runs, _block_runs(g))):
         seeds, rngs = zip(*block)
-        ever, series = _simulate_block(g, offsets, seeds, rngs, beta, gamma, max_steps)
+        ever, series = _simulate_block(g, offsets, seeds, rngs, params.beta, params.gamma,
+                                       params.max_steps)
         finals.append(ever)
-        if curve is not None:
-            # every earlier block is padded to len(curve), so curve[-1] is
-            # the sum of their final sizes
-            curve.extend([curve[-1] if curve else 0] * (len(series) - len(curve)))
-            for t in range(len(curve)):
-                curve[t] += series[min(t, len(series) - 1)]
-    return np.concatenate(finals)
+        # every earlier block is padded to len(curve), so curve[-1] is the
+        # sum of their final sizes
+        curve.extend([curve[-1] if curve else 0] * (len(series) - len(curve)))
+        for t in range(len(curve)):
+            curve[t] += series[min(t, len(series) - 1)]
+    if params.max_steps is not None:
+        curve.extend([curve[-1]] * (params.max_steps + 1 - len(curve)))
+    return np.concatenate(finals), curve
 
 
 def _simulate_block(

@@ -121,6 +121,10 @@ def test_ec_unit_norm_and_residual():
             a[u, v] = a[v, u] = 1.0
         lam = vec.params["eigenvalue"]
         assert np.max(np.abs(a @ vec.scores - lam * vec.scores)) < 10 * 1e-9
+        # exactly the Rayleigh quotient x @ (A x) of the returned x, taken
+        # with the sparse product the power iteration uses
+        rows = np.repeat(np.arange(n), np.diff(g.indptr))
+        assert lam == float(vec.scores @ np.bincount(rows, weights=vec.scores[g.indices]))
 
 
 def test_ec_matches_dense_eigendecomposition():

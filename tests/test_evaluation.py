@@ -128,6 +128,14 @@ def test_overlap_invariant_under_scaling_and_full_at_100():
     assert full == k == 30
 
 
+def test_overlap_breaks_score_ties_by_ascending_node_id():
+    # nodes 1, 2 and 4 tie for the top two: the lower ids 1 and 2 win
+    scores = [0.0, 3.0, 3.0, 1.0, 3.0, 0.0]
+    assert top_x_overlap(NodeRanking((1, 2, 4, 3, 0, 5), "DC"), scores, 40) == (2, 2)
+    assert top_x_overlap(NodeRanking((4, 2, 1, 3, 0, 5), "DC"), scores, 40) == (1, 2)
+    assert top_x_overlap(NodeRanking((4, 3, 1, 2, 0, 5), "DC"), scores, 40) == (0, 2)
+
+
 def test_overlap_rejects_zero_k():
     scores = [1.0, 2.0, 3.0]
     ranking = ranking_from_scores(scores, "DC")
@@ -202,7 +210,7 @@ def test_lsc_rank_values_negate_positions():
 def test_evaluate_vertex_transitive_taus_are_zero():
     g = cycle_graph(8)
     params = SirParams(beta=0.2, gamma=1.0, replications=50, rng_seed=2)
-    report = evaluate_dataset(g, params, x_percent=25, dataset="c8")
+    report = evaluate_dataset(g, params, x_percent=25)
     for tag in ("DC", "EC", "CC", "BC", "GC"):
         assert report.measures[tag]["tau"] == 0.0
 
@@ -210,7 +218,7 @@ def test_evaluate_vertex_transitive_taus_are_zero():
 def test_evaluate_star_every_measure_finds_center():
     g = star_graph(4)
     params = SirParams(beta=0.1, gamma=1.0, replications=400, rng_seed=4)
-    report = evaluate_dataset(g, params, x_percent=20, dataset="star")
+    report = evaluate_dataset(g, params, x_percent=20)
     for tag, row in report.measures.items():
         assert row["top_x_k"] == 1
         assert row["top_x_overlap"] == 1, tag
@@ -219,8 +227,8 @@ def test_evaluate_star_every_measure_finds_center():
 def test_evaluate_is_deterministic_and_thread_invariant():
     g = random_graph(10, 0.35, random.Random(11))
     params = SirParams(beta=0.15, gamma=1.0, replications=60, rng_seed=21)
-    a = evaluate_dataset(g, params, x_percent=20, dataset="g")
-    b = evaluate_dataset(g, params, x_percent=20, dataset="g")
+    a = evaluate_dataset(g, params, x_percent=20)
+    b = evaluate_dataset(g, params, x_percent=20)
     assert a.measures == b.measures and a.sir_results == b.sir_results
 
 

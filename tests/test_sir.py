@@ -203,13 +203,13 @@ def test_engine_matches_reference_distribution():
     g = random_graph(8, 0.4, random.Random(14))
     beta, gamma, reps = 0.3, 0.5, 4000
     params = SirParams(beta=beta, gamma=gamma, replications=reps, rng_seed=3)
-    engine = spreading_score(g, 0, params, keep_replications=True)
+    engine_mean, engine_std = summary(simulated_node_finals(g, 0, params))
     ref_rng = random.Random(99)
     ref = [reference_final_size(g, [0], beta, gamma, ref_rng) for _ in range(reps)]
     ref_mean = sum(ref) / reps
     ref_var = sum((x - ref_mean) ** 2 for x in ref) / (reps - 1)
-    se = math.sqrt(ref_var / reps + engine.score_std**2 / reps)
-    assert abs(engine.mean_score - ref_mean) < 4 * se
+    se = math.sqrt(ref_var / reps + engine_std**2 / reps)
+    assert abs(engine_mean - ref_mean) < 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,14 @@ def reference_node_finals(g, seed, params):
         finals[r] = reference_spread(adj, g.node_count, seed_arr, params.beta, params.gamma,
                                      params.max_steps, _stream(params.rng_seed, (seed, r)), None)
     return finals
+
+
+def simulated_node_finals(g, seed, params):
+    """Final sizes of sir._simulate's runs from ``seed`` alone, replication r
+    on spreading_score's (rng_seed, seed, r) stream."""
+    runs = ((seed_array([seed]), _stream(params.rng_seed, (seed, r)))
+            for r in range(params.replications))
+    return sir._simulate(g, runs, params)[0]
 
 
 def reference_curve(g, seeds, params):
@@ -352,9 +360,9 @@ def test_engine_bitwise_equals_reference(case):
         assert (final, curve) == reference_run_single(g, seeds, params,
                                                       np.random.default_rng(rng_seed))
 
-        score = spreading_score(g, seeds[0], params, keep_replications=True)
         finals = reference_node_finals(g, seeds[0], params)
-        assert score.per_replication_scores == tuple(int(x) for x in finals)
+        assert simulated_node_finals(g, seeds[0], params).tolist() == finals.tolist()
+        score = spreading_score(g, seeds[0], params)
         assert (score.mean_score, score.score_std) == summary(finals)
 
         if max_steps is not None:
@@ -379,6 +387,33 @@ def test_engine_equals_reference_on_karate_curve():
     assert np.array_equal(res.curve, curve)
 
 
+@pytest.mark.parametrize("beta,gamma", [(1.0, 1.0), (0.8, 0.7)])
+def test_simulate_curve_without_cap_runs_to_the_longest_run(beta, gamma):
+    # blocks of 3 runs on path(12); from node v a run at beta = gamma = 1
+    # lasts max(v, 11 - v) steps, so the longest runs (from 0 and 11) sit in
+    # the second of four blocks and both neighbouring blocks end earlier
+    g = path_graph(12)
+    params = SirParams(beta=beta, gamma=gamma, replications=1, rng_seed=0)
+    starts = [5, 6, 5, 0, 11, 3, 6, 5, 6, 4, 7]
+
+    def runs():
+        return [(seed_array([v]), _stream(6, (r,))) for r, v in enumerate(starts)]
+
+    curves = []
+    for seeds, rng in runs():
+        curves.append([1])
+        reference_spread(adjacency_lists(g), 12, seeds, beta, gamma, None, rng, curves[-1])
+    lengths = [len(c) for c in curves]
+    assert len(set(lengths)) > 1
+    with mock.patch.object(sir, "_STEP_ELEMENTS", 3 * g.indices.size):
+        assert sir._block_runs(g) == 3
+        finals, curve = sir._simulate(g, runs(), params)
+    assert finals.tolist() == [c[-1] for c in curves]
+    assert len(curve) == max(lengths)
+    assert curve[-1] == finals.sum()
+    assert curve == [sum(c[min(t, len(c) - 1)] for c in curves) for t in range(len(curve))]
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -386,9 +421,9 @@ def test_engine_equals_reference_on_karate_curve():
 def test_identical_params_identical_results():
     g = random_graph(12, 0.3, random.Random(4))
     params = SirParams(beta=0.2, gamma=0.8, replications=50, rng_seed=42)
-    a = spreading_score(g, 3, params, keep_replications=True)
-    b = spreading_score(g, 3, params, keep_replications=True)
-    assert a.per_replication_scores == b.per_replication_scores
+    a = simulated_node_finals(g, 3, params)
+    b = simulated_node_finals(g, 3, params)
+    assert a.tolist() == b.tolist()
 
 
 def test_score_all_nodes_thread_invariant():
