@@ -27,6 +27,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +49,7 @@ from .ranking import (
     lsc,
     ranking_from_scores,
 )
-from .sir import SirParams, SirResult, score_all_nodes, spread_curve
+from .sir import SirParams, score_all_nodes, spread_curve
 
 # the library's own checks, one per setting, which RunConfig.validate calls
 from .centrality import _check_measure, _MeasureSettings
@@ -109,6 +110,8 @@ class RunConfig:
         _check_rounding(self.precision, self.rounding)
         self.measure_order = _check_measure_order(self.measure_order)
         _MeasureSettings(**self.measure_settings())
+        if self.dataset:
+            datasets._registered(self.dataset)
         _sir_params(self)
         _check_x_percent(self.x_percent)
         _check_tau_variant(self.tau_variant)
@@ -236,8 +239,9 @@ def _write(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
 
 
 def _json(payload, indent: int | None = 2) -> str:
-    """JSON text with sorted keys and a final newline; one line when indent is None."""
-    return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+    """Strict JSON text (a NaN or infinity is an error) with sorted keys and a
+    final newline; one line when indent is None."""
+    return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n"
 
 
 def _write_outputs(config: RunConfig, outputs: _Outputs) -> None:
@@ -275,9 +279,11 @@ def _centrality_table(vec: CentralityVector) -> tuple[list[str], Iterator[tuple]
     )
 
 
-def _scores_table(results: list[SirResult]) -> tuple[list[str], Iterator[tuple]]:
+def _scores_table(
+    means: Sequence[float], stds: Sequence[float]
+) -> tuple[list[str], Iterator[tuple]]:
     return ["node", "mean_score", "std"], (
-        (node, f"{r.mean_score:.12g}", f"{r.score_std:.12g}") for node, r in enumerate(results)
+        (node, f"{mean:.12g}", f"{std:.12g}") for node, (mean, std) in enumerate(zip(means, stds))
     )
 
 
@@ -315,7 +321,7 @@ def cmd_sir(config: RunConfig) -> _Outputs:
     params = _sir_params(config)
     out = Path(config.output_dir)
     if config.seeds is None and config.seeds_from is None:
-        files = {"sir_scores.csv": _scores_table(score_all_nodes(g, params))}
+        files = {"sir_scores.csv": _scores_table(*score_all_nodes(g, params))}
         return _Outputs(files, [f"wrote per-node SIR scores for {_dataset_tag(config)} to {out}"],
                         g.labels)
     if config.seeds is not None:
@@ -341,18 +347,21 @@ def cmd_evaluate(config: RunConfig) -> _Outputs:
     report = evaluate_dataset(g, params, x_percent=config.x_percent,
                               tau_variant=config.tau_variant, **config._lsc_settings())
     dataset = _dataset_tag(config)
+    # an undefined tau (tau-b of a constant list) is NaN; JSON has null for it
+    measures = {tag: {**row, "tau": None if math.isnan(row["tau"]) else row["tau"]}
+                for tag, row in report.measures.items()}
     files: dict[str, tuple | str] = {
         "eval_report.json": _json({
             "dataset": dataset, "beta": params.beta, "gamma": params.gamma,
             "replications": params.replications, "rng_seed": params.rng_seed,
             "x_percent": config.x_percent, "node_count": g.node_count,
-            "tau_variant": config.tau_variant, "measures": report.measures,
+            "tau_variant": config.tau_variant, "measures": measures,
         }),
         "eval_report.csv": (["dataset", "measure", "tau", "top_x_overlap", "top_x_k"], (
             (dataset, tag, f"{row['tau']:.12g}", row["top_x_overlap"], row["top_x_k"])
             for tag, row in report.measures.items()
         )),
-        "sir_scores.csv": _scores_table(report.sir_results),
+        "sir_scores.csv": _scores_table(report.ground_truth, report.ground_truth_std),
     }
     # rank-vs-score series per measure (plot-ready), plus inversion summary
     inversions = []

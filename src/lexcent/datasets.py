@@ -87,6 +87,15 @@ def dataset_path(name: str, data_dir: Path | str = DEFAULT_DATA_DIR) -> Path:
     return Path(data_dir) / f"{name}.txt"
 
 
+def _registered(name: str) -> DatasetInfo:
+    """The registry entry of ``name``; a ValueError naming the known datasets
+    if there is none."""
+    if name not in REGISTRY:
+        known = ", ".join(sorted(REGISTRY))
+        raise ValueError(f"unknown dataset {name!r}; known datasets: {known}")
+    return REGISTRY[name]
+
+
 def _edge_list_from_mtx(text: str) -> str:
     """Convert MatrixMarket-ish coordinate text to a plain 2-column edge
     list: drop comment lines, the size header, and any weight column."""
@@ -131,10 +140,7 @@ def fetch(
     datasets, download failure, or checksum mismatch.
     """
     _check_bool("force", force)
-    info = REGISTRY.get(name)
-    if info is None:
-        known = ", ".join(sorted(REGISTRY))
-        raise ValueError(f"unknown dataset {name!r}; known datasets: {known}")
+    info = _registered(name)
     if info.bundled:
         return bundled_path(name)
     target = Path(data_dir) / f"{name}.txt"
@@ -167,6 +173,7 @@ def fetch(
 
 def load_dataset(name: str, data_dir: Path | str = DEFAULT_DATA_DIR) -> Graph:
     """Load a registered dataset from disk (bundled or previously fetched)."""
+    _registered(name)
     path = dataset_path(name, data_dir)
     if not path.exists():
         raise FileNotFoundError(

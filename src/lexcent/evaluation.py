@@ -8,6 +8,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import partial
 from typing import Sequence
 
@@ -27,7 +28,7 @@ from .ranking import (
     lsc,
     ranking_from_scores,
 )
-from .sir import SirParams, SirResult, mean_scores, score_all_nodes
+from .sir import SirParams, score_all_nodes
 
 EVAL_MEASURES = ("DC", "EC", "CC", "BC", "GC", "LSC")
 _TAU_VARIANTS = ("a", "b")
@@ -152,10 +153,11 @@ def _check_x_percent(x_percent: float) -> None:
 
 
 def top_x_size(node_count: int, x_percent: float) -> int:
-    """k = floor(n * x_percent / 100), the size of a top-x% set; an error
-    unless it selects at least one node."""
+    """k = floor(n * x_percent / 100), the size of a top-x% set, exact for
+    x_percent's shortest decimal (18.4 is 184/10); an error unless k >= 1."""
     _check_x_percent(x_percent)
-    k = int(node_count * x_percent / 100.0)
+    num, den = Decimal(repr(float(x_percent))).as_integer_ratio()
+    k = int(node_count) * num // (100 * den)
     if k == 0:
         raise ValueError(f"x_percent={x_percent} selects 0 of {node_count} nodes")
     return k
@@ -252,14 +254,13 @@ def benchmark_runtime(
 @dataclass(frozen=True)
 class EvalReport:
     """Per-measure agreement with SIR ground truth: measures[tag] holds the
-    measure's tau, top_x_overlap and top_x_k."""
+    measure's tau, top_x_overlap and top_x_k, scored from the rankings and
+    from every node's mean SIR score (ground_truth) and its std."""
 
     measures: dict[str, dict]
-    # per-measure rankings, and the SIR results and their mean scores (the
-    # ground truth), that the rows were scored from
-    rankings: dict[str, NodeRanking] = field(default_factory=dict, repr=False)
-    sir_results: list[SirResult] = field(default_factory=list, repr=False)
-    ground_truth: np.ndarray | None = field(default=None, repr=False)
+    rankings: dict[str, NodeRanking] = field(repr=False)
+    ground_truth: np.ndarray = field(repr=False)
+    ground_truth_std: np.ndarray = field(repr=False)
 
 
 def lsc_rank_values(ranking: NodeRanking) -> np.ndarray:
@@ -285,9 +286,8 @@ def evaluate_dataset(
     for every node, and per measure: Kendall tau between the measure's values
     and the SIR scores (LSC contributes negated rank positions), and the
     top-x% overlap against the SIR top-k. Every setting, and an empty top-x
-    set, is rejected before any centrality or SIR work. The six rankings, the
-    SIR results and their mean scores are returned on the report's
-    ``rankings``, ``sir_results`` and ``ground_truth``.
+    set, is rejected before any centrality or SIR work. The report holds the
+    six rankings and score_all_nodes' means and stds.
     """
     _check_tau_variant(tau_variant)
     _check_rounding(precision, rounding)
@@ -296,8 +296,7 @@ def evaluate_dataset(
         raise ValueError("evaluation requires at least 2 nodes")
     top_x_size(g.node_count, x_percent)
     vectors = {tag: compute_centrality(g, tag, **measure_settings) for tag in MEASURES}
-    sir_results = score_all_nodes(g, params)
-    ground_truth = mean_scores(sir_results)
+    ground_truth, ground_truth_std = score_all_nodes(g, params)
     rankings = {tag: ranking_from_scores(vec.scores, tag) for tag, vec in vectors.items()}
     rm = build_ranking_matrix(
         [vectors[tag.upper()] for tag in measure_order], precision, rounding
@@ -309,4 +308,4 @@ def evaluate_dataset(
         tau = kendall_tau(values, ground_truth, tau_variant)
         overlap, k = top_x_overlap(ranking, ground_truth, x_percent)
         report_rows[tag] = {"tau": tau, "top_x_overlap": overlap, "top_x_k": k}
-    return EvalReport(report_rows, rankings, sir_results, ground_truth)
+    return EvalReport(report_rows, rankings, ground_truth, ground_truth_std)

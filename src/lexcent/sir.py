@@ -11,9 +11,9 @@ With gamma = 1 and no step cap every infectious node tries each edge to a
 susceptible neighbor exactly once, so the final outbreak from a seed has the
 distribution of the seed's cluster in a bond percolation that opens each edge
 with probability beta (Newman, PRE 66, 016128, 2002; Kenah & Robins, PRE 76,
-036113, 2007). score_all_nodes then scores every node from one percolation
-sample per replication: the same distribution as spreading_score, with the
-samples shared across nodes.
+036113, 2007). score_all_nodes then takes every node's mean and std from
+one percolation sample per replication, shared by all nodes: the
+distribution of spreading_score's.
 
 Random streams are derived per replication: replication r seeded at node v
 draws from a stream keyed by (rng_seed, v, r); multi-seed curve replications
@@ -71,9 +71,9 @@ class SirParams:
 
 @dataclass(frozen=True)
 class SirResult:
-    """mean_score is the mean over replications of the final ever-infected
-    (recovered + still-infectious) count; curve, when present, is the mean
-    cumulative ever-infected count at each step t = 0..max_steps."""
+    """One seed set's summary: the mean and std over replications of the
+    final ever-infected count and, for spread_curve, the mean cumulative
+    ever-infected count at each step t = 0..max_steps."""
 
     mean_score: float
     score_std: float
@@ -131,24 +131,26 @@ def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult
     return _summary(finals, np.array(curve, dtype=np.float64) / params.replications)
 
 
-def score_all_nodes(g: Graph, params: SirParams) -> list[SirResult]:
-    """Spreading scores for every node, in node order; each has the same
-    distribution as spreading_score's.
+def score_all_nodes(g: Graph, params: SirParams) -> tuple[np.ndarray, np.ndarray]:
+    """(means, stds): every node's mean score and ddof=1 std, float64 arrays
+    in node order, with spreading_score's distribution.
 
     At gamma = 1 without max_steps, replication r is one bond-percolation
-    sample shared by all nodes (see the module docstring). Otherwise every
-    node gets exactly spreading_score's result, with the replications of
-    several nodes simulated together.
+    sample shared by all nodes (see the module docstring). Otherwise node v
+    gets exactly spreading_score's pair.
     """
     if params.gamma == 1.0 and params.max_steps is None:
         return _percolation_scores(g, params)
     # as many nodes per _simulate call as fill one block, so finals stay small
     per_call = max(1, _block_runs(g) // params.replications)
-    results = []
+    means, stds = np.empty(g.node_count), np.zeros(g.node_count)
     for first in range(0, g.node_count, per_call):
-        nodes = range(first, min(first + per_call, g.node_count))
-        results.extend(map(_summary, _node_scores(g, nodes, params)))
-    return results
+        last = min(first + per_call, g.node_count)
+        finals = _node_scores(g, range(first, last), params)
+        means[first:last] = finals.mean(axis=1)
+        if params.replications > 1:
+            stds[first:last] = finals.std(axis=1, ddof=1)
+    return means, stds
 
 
 def _node_scores(g: Graph, nodes: Sequence[int], params: SirParams) -> np.ndarray:
@@ -294,7 +296,7 @@ def _simulate_block(
     return ever, series
 
 
-def _percolation_scores(g: Graph, params: SirParams) -> list[SirResult]:
+def _percolation_scores(g: Graph, params: SirParams) -> tuple[np.ndarray, np.ndarray]:
     """Replication r opens each undirected edge (u < v, in CSR order) whose
     draw from the (rng_seed, r) stream is below beta and gives every node the
     size of its open cluster; means and ddof=1 stds come from exact integer
@@ -315,11 +317,4 @@ def _percolation_scores(g: Graph, params: SirParams) -> list[SirResult]:
         stds = np.sqrt(spread.astype(np.float64) / (reps * (reps - 1)))
     else:
         stds = np.zeros(n)
-    return [
-        SirResult(mean_score=float(t / reps), score_std=float(sd))
-        for t, sd in zip(total, stds)
-    ]
-
-
-def mean_scores(results: Sequence[SirResult]) -> np.ndarray:
-    return np.array([r.mean_score for r in results])
+    return total / reps, stds

@@ -35,7 +35,7 @@ from lexcent.graph import (
     load_edge_list,
 )
 from lexcent.ranking import NodeRanking, lexical_sort, lsc, ranking_from_scores
-from lexcent.sir import SirParams, mean_scores, score_all_nodes, spread_curve, spreading_score
+from lexcent.sir import SirParams, score_all_nodes, spread_curve, spreading_score
 
 from test_centrality import brute_force_betweenness, eigh_oracle, random_connected_graph
 from test_graph import brute_force_k_shell
@@ -61,7 +61,7 @@ def ba_graph():
 @pytest.fixture(scope="module")
 def ba_sir_means(ba_graph):
     params = SirParams(beta=0.01, gamma=1.0, replications=1000, rng_seed=42)
-    return mean_scores(score_all_nodes(ba_graph, params))
+    return score_all_nodes(ba_graph, params)[0]
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def karate_sir_means(karate):
     # seed, 2 of 5; 6 of 100 other seeds are red), at 10k and 200k LSC beats
     # all five
     params = SirParams(beta=0.1, gamma=1.0, replications=10_000, rng_seed=2024)
-    return mean_scores(score_all_nodes(karate, params))
+    return score_all_nodes(karate, params)[0]
 
 
 def test_criterion_01_worked_example():
@@ -160,12 +160,9 @@ def test_criterion_04_karate_top1_agreement(karate):
     lsc_top1, lsc_second = lsc_order[0], lsc_order[1]
     runs = np.array(
         [
-            mean_scores(
-                score_all_nodes(
-                    karate,
-                    SirParams(beta=0.1, gamma=1.0, replications=1000, rng_seed=1000 + i),
-                )
-            )
+            score_all_nodes(
+                karate, SirParams(beta=0.1, gamma=1.0, replications=1000, rng_seed=1000 + i)
+            )[0]
             for i in range(100)
         ]
     )

@@ -346,6 +346,27 @@ def test_matrix_csv_dump(tmp_path):
         assert path.read_text() == "node,DC,EC\n" + rows, (precision, rounding)
 
 
+def test_undefined_tau_is_json_null(tmp_path):
+    # beta 0 scores every node 1, so tau-b divides by zero for all six
+    out = tmp_path / "out"
+    argv = ["evaluate", "--generate", "ba:60:2:1", "--beta", "0", "--reps", "5",
+            "--tau-variant", "b", "--x-percent", "10", "--out", str(out)]
+    assert run(argv) == 0
+
+    def reject(constant):
+        raise ValueError(f"bare {constant} in eval_report.json")
+
+    payload = json.loads((out / "eval_report.json").read_text(), parse_constant=reject)
+    assert [row["tau"] for row in payload["measures"].values()] == [None] * 6
+    rows = (out / "eval_report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["nan"] * 6
+
+
+def test_json_outputs_reject_nan():
+    with pytest.raises(ValueError):
+        lexcent.cli._json({"tau": float("nan")})
+
+
 def test_report_serialization_shape(tmp_path):
     path = tmp_path / "star.txt"
     path.write_text("0 1\n0 2\n0 3\n")
@@ -566,6 +587,22 @@ def test_repeated_measure_in_the_order_fails_before_any_work(
     err = capsys.readouterr().err
     assert err == "error: measure 'DC' is repeated in the measure order\n"
     assert not out.exists()  # rejected before outputs were touched
+
+
+@pytest.mark.parametrize("command", ["stats", "sir", "evaluate"])
+def test_unknown_dataset_names_the_registry_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr(lexcent.cli, "_load_graph", no_work)
+    out = tmp_path / "o"
+    assert run([command, "--dataset", "nosuch", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown dataset 'nosuch'; known datasets: ")
+    assert "karate" in err and "fetch" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,11 @@ def test_fetch_unknown_dataset():
         fetch("not-a-dataset")
 
 
+def test_load_unknown_dataset_names_the_registry(tmp_path):
+    with pytest.raises(ValueError, match="unknown dataset 'nosuch'; known datasets: .*karate"):
+        load_dataset("nosuch", tmp_path)
+
+
 def test_load_missing_dataset_mentions_fetch(tmp_path):
     with pytest.raises(FileNotFoundError, match="fetch"):
         load_dataset("cs-phd", tmp_path)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,11 @@ from lexcent.evaluation import (
     lsc_rank_values,
     rank_vs_score_series,
     top_x_overlap,
+    top_x_size,
 )
 from lexcent.graph import from_edges
 from lexcent.ranking import NodeRanking, ranking_from_scores
-from lexcent.sir import SirParams, mean_scores, score_all_nodes
+from lexcent.sir import SirParams, score_all_nodes
 
 from test_graph import cycle_graph, random_graph
 from test_centrality import star_graph
@@ -143,6 +145,30 @@ def test_overlap_rejects_zero_k():
         top_x_overlap(ranking, scores, 5)  # floor(3*0.05) == 0
 
 
+def test_top_x_size_reads_x_percent_as_its_decimal():
+    assert top_x_size(375, 18.4) == 69  # the float product 375 * 18.4 / 100 is below 69
+    assert int(375 * 18.4 / 100.0) == 68
+
+
+def test_top_x_size_is_exact_on_the_tenths_grid():
+    # floor(n * x / 100) can only differ from exact arithmetic where the exact
+    # product is an integer (elsewhere it is at least 1/1000 from one), so the
+    # grid n in 2..3000, x in tenths, is checked at those n and next to them
+    float_misses = 0
+    for tenths in range(1, 1001):
+        x = tenths / 10
+        exact = Fraction(str(x)) / 100
+        step = exact.denominator  # n * exact is an integer iff step divides n
+        for hit in range(step, 3001 + step, step):
+            for n in range(max(hit - 1, 2), min(hit + 1, 3000) + 1):
+                expected = math.floor(n * exact)
+                if expected == 0:
+                    continue
+                assert top_x_size(n, x) == expected, (n, x)
+                float_misses += int(n * x / 100.0) != expected
+    assert float_misses == 282
+
+
 # ---------------------------------------------------------------------------
 # rank-vs-score series
 
@@ -229,7 +255,9 @@ def test_evaluate_is_deterministic_and_thread_invariant():
     params = SirParams(beta=0.15, gamma=1.0, replications=60, rng_seed=21)
     a = evaluate_dataset(g, params, x_percent=20)
     b = evaluate_dataset(g, params, x_percent=20)
-    assert a.measures == b.measures and a.sir_results == b.sir_results
+    assert a.measures == b.measures
+    assert np.array_equal(a.ground_truth, b.ground_truth)
+    assert np.array_equal(a.ground_truth_std, b.ground_truth_std)
 
 
 @pytest.mark.parametrize(
@@ -273,6 +301,6 @@ def test_evaluate_report_carries_its_ground_truth():
     g = star_graph(4)
     params = SirParams(beta=0.3, gamma=1.0, replications=40, rng_seed=3)
     report = evaluate_dataset(g, params, x_percent=20)
-    expected = score_all_nodes(g, params)
-    assert report.sir_results == expected
-    assert np.array_equal(report.ground_truth, mean_scores(expected))
+    means, stds = score_all_nodes(g, params)
+    assert np.array_equal(report.ground_truth, means)
+    assert np.array_equal(report.ground_truth_std, stds)

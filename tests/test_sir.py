@@ -16,7 +16,6 @@ from lexcent.sir import (
     SUSCEPTIBLE,
     SirParams,
     _stream,
-    mean_scores,
     run_single,
     score_all_nodes,
     spread_curve,
@@ -171,7 +170,7 @@ def test_hub_spreads_more_than_leaf_on_karate():
 def test_vertex_transitive_scores_agree_within_noise():
     g = cycle_graph(8)
     params = SirParams(beta=0.3, gamma=1.0, replications=2000, rng_seed=5)
-    means = mean_scores(score_all_nodes(g, params))
+    means, _ = score_all_nodes(g, params)
     assert means.max() - means.min() < 0.25
 
 
@@ -372,8 +371,9 @@ def test_engine_bitwise_equals_reference(case):
             assert np.array_equal(res.curve, ref_curve)
 
         if gamma < 1.0 or max_steps is not None:
-            for v, res in enumerate(score_all_nodes(g, params)):
-                assert (res.mean_score, res.score_std) == summary(
+            means, stds = score_all_nodes(g, params)
+            for v in range(g.node_count):
+                assert (means[v], stds[v]) == summary(
                     reference_node_finals(g, v, params)), f"node {v}"
 
 
@@ -426,14 +426,14 @@ def test_identical_params_identical_results():
     assert a.tolist() == b.tolist()
 
 
-def test_score_all_nodes_thread_invariant():
+def test_score_all_nodes_rerun_is_identical():
     # gamma < 1 runs the batched simulator; a rerun must give the same result
     g = random_graph(10, 0.3, random.Random(6))
     for gamma in (1.0, 0.5):
         params = SirParams(beta=0.25, gamma=gamma, replications=40, rng_seed=13)
-        serial = mean_scores(score_all_nodes(g, params))
-        threaded = mean_scores(score_all_nodes(g, params))
-        assert np.array_equal(serial, threaded)
+        first, _ = score_all_nodes(g, params)
+        second, _ = score_all_nodes(g, params)
+        assert np.array_equal(first, second)
 
 
 def test_spread_curve_deterministic_and_anchored():
@@ -475,48 +475,47 @@ def percolation_sizes(g, params):
 )
 def test_percolation_scores_match_simulator(g, beta):
     reps = 20_000
-    perc = score_all_nodes(g, SirParams(beta=beta, replications=reps, rng_seed=17))
-    for v, fast in enumerate(perc):
+    means, stds = score_all_nodes(g, SirParams(beta=beta, replications=reps, rng_seed=17))
+    for v in range(g.node_count):
         sim = spreading_score(g, v, SirParams(beta=beta, replications=reps, rng_seed=18))
-        se = math.sqrt((fast.score_std**2 + sim.score_std**2) / reps)
+        se = math.sqrt((stds[v]**2 + sim.score_std**2) / reps)
         if se == 0.0:
-            assert fast.mean_score == sim.mean_score == 1.0  # isolated node
+            assert means[v] == sim.mean_score == 1.0  # isolated node
         else:
-            assert abs(fast.mean_score - sim.mean_score) < 4 * se, f"node {v}"
+            assert abs(means[v] - sim.mean_score) < 4 * se, f"node {v}"
 
 
 def test_percolation_limits_are_exact():
     g = random_disconnected_graph(random.Random(31))
     labels, sizes = reference_components(g)
     for beta, expected in ((0.0, np.ones(g.node_count)), (1.0, np.asarray(sizes)[labels])):
-        results = score_all_nodes(g, SirParams(beta=beta, replications=25, rng_seed=2))
-        assert np.array_equal(mean_scores(results), expected)
-        assert all(r.score_std == 0.0 for r in results)
+        means, stds = score_all_nodes(g, SirParams(beta=beta, replications=25, rng_seed=2))
+        assert np.array_equal(means, expected)
+        assert all(std == 0.0 for std in stds)
 
 
 def test_percolation_two_node_expectation():
     g = from_edges(2, [(0, 1)])
     reps = 4000
     for beta in (0.1, 0.5, 0.9):
-        results = score_all_nodes(g, SirParams(beta=beta, replications=reps, rng_seed=7))
+        means, _ = score_all_nodes(g, SirParams(beta=beta, replications=reps, rng_seed=7))
         se = math.sqrt(beta * (1 - beta) / reps)
-        for res in results:
-            assert abs(res.mean_score - (1 + beta)) < 4 * se
+        for mean in means:
+            assert abs(mean - (1 + beta)) < 4 * se
 
 
 def test_percolation_single_replication_has_zero_std():
-    results = score_all_nodes(path_graph(5), SirParams(beta=0.5, replications=1, rng_seed=3))
-    assert all(r.score_std == 0.0 for r in results)
-    assert all(1.0 <= r.mean_score <= 5.0 for r in results)
+    means, stds = score_all_nodes(path_graph(5), SirParams(beta=0.5, replications=1, rng_seed=3))
+    assert all(std == 0.0 for std in stds)
+    assert all(1.0 <= mean <= 5.0 for mean in means)
 
 
 def test_percolation_scores_follow_the_stream_design():
     g = random_disconnected_graph(random.Random(37))
     params = SirParams(beta=0.4, replications=60, rng_seed=9)
     sizes = percolation_sizes(g, params)
-    results = score_all_nodes(g, params)
-    assert np.array_equal(mean_scores(results), sizes.mean(axis=0))
-    stds = np.array([r.score_std for r in results])
+    means, stds = score_all_nodes(g, params)
+    assert np.array_equal(means, sizes.mean(axis=0))
     assert np.allclose(stds, sizes.std(axis=0, ddof=1), rtol=1e-9, atol=0.0)
 
 
@@ -527,6 +526,19 @@ def test_score_all_nodes_simulator_path_equals_spreading_score(gamma, max_steps)
     g = random_disconnected_graph(random.Random(43))
     params = SirParams(beta=0.35, gamma=gamma, replications=30, rng_seed=4,
                        max_steps=max_steps)
-    for v, res in enumerate(score_all_nodes(g, params)):
+    means, stds = score_all_nodes(g, params)
+    for v in range(g.node_count):
         single = spreading_score(g, v, params)
-        assert (res.mean_score, res.score_std) == (single.mean_score, single.score_std)
+        assert (means[v], stds[v]) == (single.mean_score, single.score_std)
+
+
+@pytest.mark.parametrize("gamma,reps", [(1.0, 3), (0.5, 3), (0.5, 1)])
+def test_score_all_nodes_returns_two_float64_arrays(gamma, reps):
+    g = random_disconnected_graph(random.Random(47))
+    means, stds = score_all_nodes(g, SirParams(beta=0.3, gamma=gamma, replications=reps))
+    for arr in (means, stds):
+        assert isinstance(arr, np.ndarray)
+        assert arr.dtype == np.float64 and arr.shape == (g.node_count,)
+    assert (means >= 1.0).all() and (stds >= 0.0).all()
+    if reps == 1:
+        assert not stds.any()
