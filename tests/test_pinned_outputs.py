@@ -1,4 +1,4 @@
-"""The pinned CLI outputs: every file that eleven commands write, and the
+"""The pinned CLI outputs: every file that thirteen commands write, and the
 sparse6k curve command's stdout line, must keep these bytes. A refactor
 passes only if it leaves them all unchanged; a declared change of estimator
 re-pins only the files it changes and names them in CHANGES.md.
@@ -94,6 +94,33 @@ PINNED = [
         "rank_vs_score_lsc.csv": "8a54b82e7cef4cff0f3506c479be3908430ec2061b205bf9e28072b0ac7f8d46",
         "run_config.json": "c2546571f882debf3a5d505d00de666196190eaaa9b17ada441d37c3533e6fca",
         "sir_scores.csv": "62dea0766c08c14763db83e0693434553d9f5761cbbda103689f84a56b715320",
+    }),
+    ("evaluate --dataset karate --beta 0.1 --gamma 0.5 --reps 200 --seed 3 --tau-variant b --rounding truncate --precision 2 --measure-order ec,gc,dc --cc-convention paper_literal --gc-radius 2 --x-percent 10 --out out/e_tau_b", {
+        "eval_report.csv": "321126feee9b377c51738fd0887d27833b820c110215d4fd890cc800172d946d",
+        "eval_report.json": "b080b961499ad4067d864a426bebfdc04ba558e29f71500fe80c9cca4a03e891",
+        "inversions.csv": "16f283b3959a2dd85427ca0df651f9848fb1f18e00281c5729c2f03e77df339c",
+        "node_labels.csv": "b29d3aafbcc0f169019c401b30c03f792dd41086d3190e13df334989766faab3",
+        "rank_vs_score_bc.csv": "639a0ee00cd90d6519cfb92b4391271c8bced55a27f8b4bc5b37b74476a9bd95",
+        "rank_vs_score_cc.csv": "4cd601a7d735553a58cee902f93645ba9c33149fb4c7ed967bbc8dc7a17d6899",
+        "rank_vs_score_dc.csv": "4c27c603b768d429a144893f4edaaf26231d0c8d3400d1c8d5bc4b8c414e89de",
+        "rank_vs_score_ec.csv": "5a9726db1cd2026ebd80ff47d7f3a65fe3989abd61653d84396a85370ff2460a",
+        "rank_vs_score_gc.csv": "a2c50a791fd87811994b057c6417a326f86768f708620b1aeeb8fc83bfa4c23e",
+        "rank_vs_score_lsc.csv": "3b4b643d5fdf1dc97d2d0f97976b04f97bbaa5ba571f0f2d4848a3a9d377bb5e",
+        "run_config.json": "928e7767fccdffec0963e8b995aad407f8149f70a9a6e265dcae46bb9cc145be",
+        "sir_scores.csv": "c9990dca0f02506efc7bba22caf91086adbc8c256c66ee6d50a92a6f773f0379",
+    }),
+    ("evaluate --generate ba:60:2:1 --beta 0 --reps 5 --tau-variant b --x-percent 10 --out out/e_null", {
+        "eval_report.csv": "6d7b58560ebd976f0f42f1afc400399d121f548bca459b70d2adbdd166e8d430",
+        "eval_report.json": "84625fd405bc39d1a61ace295c7917c5f38124a42378e1ecabcb7d9df62e714a",
+        "inversions.csv": "372bab28a7d48afacad50d6296c5263911ae74b04143e6e623ca072f1e03a2e6",
+        "rank_vs_score_bc.csv": "173ef80f8d7f2d9bc2081fd7f4348bec39ca6823c29c8abf64673ac2d19153ef",
+        "rank_vs_score_cc.csv": "310adb1a5ee2c058b4eed0de263a845f1ce102ff723691af52c4624b5e8e1392",
+        "rank_vs_score_dc.csv": "c5bc3d9ee9b6c7535c2b5390b84a6ca2d53e6e0a0305ebaa20fef95dd1bf6c4c",
+        "rank_vs_score_ec.csv": "39f862eb6beb05774d4bf8994953cbfe0710409142a53ff29b6de36a9235f99d",
+        "rank_vs_score_gc.csv": "2479c90069643ef80213d610a2c39252fc558613f5c5cd4f4b863648219174b9",
+        "rank_vs_score_lsc.csv": "fcf58226ddd6623998e21e416495657ed1e0484ee0b7954f8cc9d329a4f43bce",
+        "run_config.json": "1c44686ffa5f9ada69d07e83f8748f3a6e7827073a1d384c6ede81502d4d5bb2",
+        "sir_scores.csv": "93579f3eb77c988eb18a8e1a75cce6f4a784ae87dcc5e3fe57b9fa1c8a4bfd8d",
     }),
     ("evaluate --generate ba:1000:10:1 --beta 0.01 --reps 100 --seed 1 --threads 1 --out out/pb_eval", {
         "eval_report.csv": "909c803140f68a7d7a8d26643efd1e689d85d96c9c67f4ad78938ce5b7835820",
