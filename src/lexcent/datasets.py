@@ -80,9 +80,8 @@ def bundled_path(name: str) -> Path:
 
 def dataset_path(name: str, data_dir: Path | str = DEFAULT_DATA_DIR) -> Path:
     """Where a dataset lives locally (bundled datasets resolve into the
-    package, fetched ones into ``data_dir``)."""
-    info = REGISTRY.get(name)
-    if info is not None and info.bundled:
+    package, fetched ones into ``data_dir``); unknown names are a ValueError."""
+    if _registered(name).bundled:
         return bundled_path(name)
     return Path(data_dir) / f"{name}.txt"
 
@@ -141,10 +140,8 @@ def fetch(
     """
     _check_bool("force", force)
     info = _registered(name)
-    if info.bundled:
-        return bundled_path(name)
-    target = Path(data_dir) / f"{name}.txt"
-    if target.exists() and not force:
+    target = dataset_path(name, data_dir)
+    if info.bundled or (target.exists() and not force):
         return target
     # imported here, not at module top: it is the slowest import of the
     # package, and only a download needs it
@@ -173,7 +170,6 @@ def fetch(
 
 def load_dataset(name: str, data_dir: Path | str = DEFAULT_DATA_DIR) -> Graph:
     """Load a registered dataset from disk (bundled or previously fetched)."""
-    _registered(name)
     path = dataset_path(name, data_dir)
     if not path.exists():
         raise FileNotFoundError(

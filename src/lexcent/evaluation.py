@@ -37,47 +37,33 @@ DEFAULT_X_PERCENT = 5.0
 DEFAULT_REPETITIONS = 1
 
 
-def _tie_pair_count(values: np.ndarray) -> int:
-    """Pairs of equal entries."""
-    counts = np.unique(values, return_counts=True)[1]
-    return int((counts * (counts - 1) // 2).sum())
+def _tie_pairs(new_run: np.ndarray) -> int:
+    """Pairs of equal entries in a sorted list; new_run[i]: entry i + 1 starts a run."""
+    runs = np.diff(np.flatnonzero(np.r_[True, new_run, True]))
+    return int((runs * (runs - 1) // 2).sum())
 
 
-def _merge_count_inversions(values: list) -> int:
-    """Count pairs i < j with values[i] > values[j] (strict), by mergesort."""
-    n = len(values)
-    if n < 2:
-        return 0
-    inversions = 0
-    src = list(values)
-    dst = [None] * n
-    width = 1
+def _count_inversions(ranks: np.ndarray) -> tuple[int, np.ndarray]:
+    """Pairs i < j with ranks[i] > ranks[j] (int64 ranks in [0, n)), and the
+    ranks sorted, by bottom-up merging."""
+    n = ranks.size
+    index = np.arange(n)
+    inversions, width = 0, 1
     while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if src[j] < src[i]:
-                    inversions += mid - i
-                    dst[k] = src[j]
-                    j += 1
-                else:
-                    dst[k] = src[i]
-                    i += 1
-                k += 1
-            dst[k : k + mid - i] = src[i:mid]
-            k += mid - i
-            dst[k : k + hi - j] = src[j:hi]
-        src, dst = dst, src
+        # block pair p in band [p n, (p + 1) n) makes all left blocks one sorted
+        # array; a right entry's larger partners end at (p + 1) * width in it
+        pair = index // (2 * width)
+        keys = ranks + pair * n
+        right = index % (2 * width) >= width
+        below = np.searchsorted(keys[~right], keys[right], side="right")
+        inversions += int(((pair[right] + 1) * width - below).sum())
+        keys.sort()
+        ranks = keys - pair * n
         width *= 2
-    return inversions
+    return inversions, ranks
 
 
-def _tau_from_counts(
-    concordant: int, discordant: int, pairs: int, ties_a: int, ties_b: int, variant: str
-) -> float:
-    numerator = concordant - discordant
+def _tau_from_counts(numerator: int, pairs: int, ties_a: int, ties_b: int, variant: str) -> float:
     if variant == "a":
         return numerator / pairs
     denom = math.sqrt((pairs - ties_a) * (pairs - ties_b))
@@ -95,33 +81,36 @@ def _validate_tau_inputs(a: Sequence[float], b: Sequence[float], variant: str) -
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("kendall tau requires at least 2 items")
+    for name, values in (("a", a), ("b", b)):
+        if np.isnan(np.asarray(values, dtype=float)).any():
+            raise ValueError(f"kendall tau: {name} contains NaN")
     return len(a)
 
 
 def kendall_tau(
     a: Sequence[float], b: Sequence[float], variant: str = DEFAULT_TAU_VARIANT
 ) -> float:
-    """Kendall rank correlation via merge-count, O(N log N).
+    """Kendall rank correlation via merge-count, O(N log N) (Knight 1966).
 
     A pair of indices is concordant when both lists order it the same strict
     way, discordant when opposite, and neither when tied in either list.
     Variant "a" divides (concordant - discordant) by N(N-1)/2, so ties shrink
     |tau|; variant "b" rescales by the tie-corrected denominator (NaN when
-    either list is constant).
+    either list is constant). A NaN in either list is a ValueError.
     """
     n = _validate_tau_inputs(a, b, variant)
     pairs = n * (n - 1) // 2
-    a, b = np.asarray(a), np.asarray(b)
     # sorting secondarily by b puts tied-a runs in ascending b order, so the
     # inversion count below never charges a pair that is tied in a
     order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    discordant = _merge_count_inversions(b.tolist())
-    ties_a = _tie_pair_count(a)
-    ties_b = _tie_pair_count(b)
-    ties_both = _tie_pair_count(a + 1j * b)  # a pair is equal iff its complex number is
+    a, b = np.asarray(a)[order], np.asarray(b)[order]
+    new_a = a[1:] != a[:-1]
+    ties_a, ties_both = _tie_pairs(new_a), _tie_pairs(new_a | (b[1:] != b[:-1]))
+    # equal values share a rank: the index of their first copy in sorted b
+    discordant, ranks = _count_inversions(np.searchsorted(np.sort(b), b))
+    ties_b = _tie_pairs(ranks[1:] != ranks[:-1])
     concordant = pairs - ties_a - ties_b + ties_both - discordant
-    return _tau_from_counts(concordant, discordant, pairs, ties_a, ties_b, variant)
+    return _tau_from_counts(concordant - discordant, pairs, ties_a, ties_b, variant)
 
 
 def kendall_tau_pairwise(
@@ -130,22 +119,17 @@ def kendall_tau_pairwise(
     """Reference O(N^2) Kendall tau; must agree exactly with kendall_tau."""
     n = _validate_tau_inputs(a, b, variant)
     pairs = n * (n - 1) // 2
-    concordant = discordant = ties_a = ties_b = 0
+    # sign(a_i - a_j) * sign(b_i - b_j) is +1 for a concordant pair, -1 for a
+    # discordant one and 0 for a tie
+    numerator = ties_a = ties_b = 0
     for i in range(n):
         for j in range(i + 1, n):
             da = (a[i] > a[j]) - (a[i] < a[j])
             db = (b[i] > b[j]) - (b[i] < b[j])
-            if da == 0:
-                ties_a += 1
-            if db == 0:
-                ties_b += 1
-            if da == 0 or db == 0:
-                continue
-            if da == db:
-                concordant += 1
-            else:
-                discordant += 1
-    return _tau_from_counts(concordant, discordant, pairs, ties_a, ties_b, variant)
+            ties_a += da == 0
+            ties_b += db == 0
+            numerator += da * db
+    return _tau_from_counts(numerator, pairs, ties_a, ties_b, variant)
 
 
 def _check_x_percent(x_percent: float) -> None:

@@ -115,7 +115,8 @@ def run_single(
 def spreading_score(g: Graph, seed: int, params: SirParams) -> SirResult:
     """Mean final spread size over ``params.replications`` independent runs
     with node ``seed`` as the sole initially infectious node."""
-    return _summary(_node_scores(g, _check_seeds(g, [seed]).tolist(), params)[0])
+    finals = _node_scores(g, _check_seeds(g, [seed]).tolist(), params)[0]
+    return SirResult(*map(float, _mean_std(finals)))
 
 
 def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult:
@@ -128,7 +129,8 @@ def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult
     finals, curve = _simulate(g, runs, params)
     # sums of integers below 2**53 are exact, so the mean does not depend on
     # the order in which the runs were added
-    return _summary(finals, np.array(curve, dtype=np.float64) / params.replications)
+    mean, std = map(float, _mean_std(finals))
+    return SirResult(mean, std, np.array(curve, dtype=np.float64) / params.replications)
 
 
 def score_all_nodes(g: Graph, params: SirParams) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +145,11 @@ def score_all_nodes(g: Graph, params: SirParams) -> tuple[np.ndarray, np.ndarray
         return _percolation_scores(g, params)
     # as many nodes per _simulate call as fill one block, so finals stay small
     per_call = max(1, _block_runs(g) // params.replications)
-    means, stds = np.empty(g.node_count), np.zeros(g.node_count)
+    means, stds = np.empty(g.node_count), np.empty(g.node_count)
     for first in range(0, g.node_count, per_call):
         last = min(first + per_call, g.node_count)
         finals = _node_scores(g, range(first, last), params)
-        means[first:last] = finals.mean(axis=1)
-        if params.replications > 1:
-            stds[first:last] = finals.std(axis=1, ddof=1)
+        means[first:last], stds[first:last] = _mean_std(finals)
     return means, stds
 
 
@@ -165,10 +165,9 @@ def _node_scores(g: Graph, nodes: Sequence[int], params: SirParams) -> np.ndarra
     return _simulate(g, runs, params)[0].reshape(len(nodes), params.replications)
 
 
-def _summary(finals: np.ndarray, curve: np.ndarray | None = None) -> SirResult:
-    """Mean and ddof=1 std of one contiguous int64 array of final sizes."""
-    std = float(finals.std(ddof=1)) if finals.size > 1 else 0.0
-    return SirResult(mean_score=float(finals.mean()), score_std=std, curve=curve)
+def _mean_std(finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof=1 std over the last axis (replications); std 0 for one."""
+    return finals.mean(axis=-1), finals.std(axis=-1, ddof=int(finals.shape[-1] > 1))
 
 
 # Elements one simulation step may touch per block: a step gathers at most
@@ -311,10 +310,7 @@ def _percolation_scores(g: Graph, params: SirParams) -> tuple[np.ndarray, np.nda
         size = np.bincount(roots)[roots]
         total += size
         total_sq += size * size
-    if reps > 1:
-        # reps * sum(x^2) - sum(x)^2 in Python integers: exact, cannot overflow
-        spread = reps * total_sq.astype(object) - total.astype(object) ** 2
-        stds = np.sqrt(spread.astype(np.float64) / (reps * (reps - 1)))
-    else:
-        stds = np.zeros(n)
+    # reps * sum(x^2) - sum(x)^2 in Python ints: exact, and 0 for one replication
+    spread = reps * total_sq.astype(object) - total.astype(object) ** 2
+    stds = np.sqrt(spread.astype(np.float64) / (reps * max(reps - 1, 1)))
     return total / reps, stds

@@ -108,6 +108,11 @@ def test_dataset_path_bundled_vs_fetched(tmp_path):
     assert dataset_path("cs-phd", tmp_path) == tmp_path / "cs-phd.txt"
 
 
+def test_dataset_path_rejects_unknown_names(tmp_path):
+    with pytest.raises(ValueError, match="unknown dataset 'nosuch'; known datasets: .*karate"):
+        dataset_path("nosuch", tmp_path)
+
+
 def test_importing_the_cli_does_not_import_urllib_request():
     # only a download needs urllib.request, and every command would pay for it
     src = Path(datasets.__file__).resolve().parents[1]

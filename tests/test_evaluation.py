@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lexcent.evaluation
 from lexcent.evaluation import (
@@ -93,6 +95,58 @@ def test_tau_b_matches_scipy():
         b = [rng.randrange(0, 10) for _ in range(40)]
         expected = stats.kendalltau(a, b, variant="b").statistic
         assert kendall_tau(a, b, variant="b") == pytest.approx(expected, abs=1e-12)
+
+
+# ±0.0 are equal values with different bits; each list draws from 1-6 of these
+TAU_VALUES = (0.0, -0.0, 1.0, -1.5, 2.0, 3.25, -7.0, math.inf)
+# sizes at and beside powers of two, where the merge's last block is full,
+# one short, or a lone entry
+POWER_SIZES = sorted({2**k + d for k in range(1, 9) for d in (-1, 0, 1)} - {1})
+
+
+@st.composite
+def tau_lists(draw, n):
+    kind = draw(st.sampled_from(("values", "constant", "decreasing")))
+    if kind == "constant":
+        return [draw(st.sampled_from(TAU_VALUES))] * n
+    if kind == "decreasing":
+        return [float(n - i) for i in range(n)]
+    pool = draw(st.lists(st.sampled_from(TAU_VALUES), min_size=1, max_size=6, unique_by=repr))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(2, 300), st.sampled_from(POWER_SIZES)).flatmap(
+        lambda n: st.tuples(tau_lists(n), tau_lists(n))
+    )
+)
+@example(([0.0, 1.0], [1.0, 0.0]))
+@example(([0.0, -0.0, 1.0], [-0.0, 0.0, 0.0]))
+@example(([1.0] * 5, [5.0, 4.0, 3.0, 2.0, 1.0]))
+def test_kendall_tau_equals_pairwise_exactly(lists):
+    a, b = lists
+    for variant in ("a", "b"):
+        fast = kendall_tau(a, b, variant)
+        slow = kendall_tau_pairwise(a, b, variant)
+        assert fast == slow or (math.isnan(fast) and math.isnan(slow)), variant
+
+
+def test_count_inversions_beyond_int32():
+    n = 70_000
+    reverse = np.arange(n, dtype=np.int64)[::-1].copy()
+    inversions, ranks = lexcent.evaluation._count_inversions(reverse)
+    assert inversions == n * (n - 1) // 2 == 2_449_965_000
+    assert np.array_equal(ranks, np.arange(n))
+    assert kendall_tau(np.arange(n), np.arange(n)[::-1]) == -1.0
+
+
+@pytest.mark.parametrize("fn", [kendall_tau, kendall_tau_pairwise])
+def test_tau_rejects_nan_and_names_the_list(fn):
+    with pytest.raises(ValueError, match="kendall tau: a contains NaN"):
+        fn([1, math.nan, 3, 2], [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="kendall tau: b contains NaN"):
+        fn([1, 2, 3, 4], np.array([1.0, 2.0, np.nan, 4.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +345,7 @@ def test_bad_tau_variant_is_rejected_before_any_work():
         with pytest.raises(ValueError, match="unknown tau variant 'c'"):
             evaluate_dataset(star_graph(9), params, x_percent=20, tau_variant="c")
     assert sir.call_count == 0 and centrality.call_count == 0
-    with mock.patch.object(lexcent.evaluation, "_merge_count_inversions") as merge:
+    with mock.patch.object(lexcent.evaluation, "_count_inversions") as merge:
         with pytest.raises(ValueError, match="unknown tau variant 'c'"):
             kendall_tau([1, 2, 3], [3, 1, 2], variant="c")
     assert merge.call_count == 0

@@ -510,6 +510,17 @@ def test_percolation_single_replication_has_zero_std():
     assert all(1.0 <= mean <= 5.0 for mean in means)
 
 
+def test_simulator_single_replication_has_zero_std():
+    # spreading_score, spread_curve and the gamma < 1 score_all_nodes share
+    # one mean/std rule: ddof=1 over the replications, and 0 for just one
+    g = random_disconnected_graph(random.Random(41))
+    params = SirParams(beta=0.9, gamma=0.5, replications=1, rng_seed=5, max_steps=4)
+    assert spreading_score(g, 0, params).score_std == 0.0
+    assert spread_curve(g, [0, 1], params).score_std == 0.0
+    means, stds = score_all_nodes(g, SirParams(beta=0.9, gamma=0.5, replications=1))
+    assert not stds.any() and (means >= 1.0).all()
+
+
 def test_percolation_scores_follow_the_stream_design():
     g = random_disconnected_graph(random.Random(37))
     params = SirParams(beta=0.4, replications=60, rng_seed=9)
