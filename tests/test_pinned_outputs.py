@@ -1,4 +1,4 @@
-"""The pinned CLI outputs: every file that thirteen commands write, and the
+"""The pinned CLI outputs: every file that fifteen commands write, and the
 sparse6k curve command's stdout line, must keep these bytes. A refactor
 passes only if it leaves them all unchanged; a declared change of estimator
 re-pins only the files it changes and names them in CHANGES.md.
@@ -80,6 +80,15 @@ PINNED = [
         "node_labels.csv": "b29d3aafbcc0f169019c401b30c03f792dd41086d3190e13df334989766faab3",
         "run_config.json": "b8adc940c50e0f3e53833cb05fab027027dfd82d3d8e4680da66caa95f97e2ae",
         "sir_curve_lsc.csv": "56be610c0bf921f7b1fa7a153d423dc3dc6552522a446a5014ce5009da15c122",
+    }),
+    ("sir --generate ba:300:3:2 --beta 0.2 --gamma 0.5 --reps 20 --out out/s_ba_gamma", {
+        "run_config.json": "07e4e042974d2d7f2bf07256fd76deaf3d3a7c61de2db3c03dd37d2ef992345f",
+        "sir_scores.csv": "25f156bfeabe672e17daa956a153364af56ad13bfc9ae0ff2a341b701f62a0bc",
+    }),
+    ("sir --dataset karate --beta 0.1 --steps 4 --reps 100 --out out/s_steps", {
+        "node_labels.csv": "b29d3aafbcc0f169019c401b30c03f792dd41086d3190e13df334989766faab3",
+        "run_config.json": "d82b768566c90dc62682682c8c3e470c230cf92c5d4f65d583b134f981b3989a",
+        "sir_scores.csv": "ac91c13a7bd8c7c3a1b5d07df385f1c24154ed742810ede0f7b7e71406e108cd",
     }),
     ("evaluate --dataset karate --beta 0.1 --reps 1000 --x-percent 5 --seed 7 --out out/e", {
         "eval_report.csv": "c76c05904fddb227e4e788d67cc0e31700dba89cf057b674742991e42951284c",
