@@ -124,8 +124,9 @@ def kendall_tau_pairwise(
     numerator = ties_a = ties_b = 0
     for i in range(n):
         for j in range(i + 1, n):
-            da = (a[i] > a[j]) - (a[i] < a[j])
-            db = (b[i] > b[j]) - (b[i] < b[j])
+            # int() first: numpy bools (array inputs) do not subtract
+            da = int(a[i] > a[j]) - int(a[i] < a[j])
+            db = int(b[i] > b[j]) - int(b[i] < b[j])
             ties_a += da == 0
             ties_b += db == 0
             numerator += da * db

@@ -23,23 +23,25 @@ are therefore bit-identical no matter how the work is ordered or batched.
 Curves, spreading_score, run_single and score_all_nodes at gamma < 1 or with
 max_steps run one simulator, _simulate, which returns every run's final size
 and the summed cumulative curve, padded to max_steps + 1 when there is a
-step cap. It advances a block of replications together: the block's
-frontier is a list of (run, node) pairs and one CSR gather per step
-collects every run's contacts. Each run still consumes its own stream
-exactly as a run simulated alone would. Per step it draws, in one call,
-one uniform per susceptible contact in frontier order (infection) followed,
-when gamma < 1, by one per frontier node (recovery); Generator.random(a + b)
-yields the same values as random(a) then random(b), so this is the draw
-sequence of a per-run loop that makes the two calls separately. A run's
-next frontier is its surviving nodes in their previous order, then its new
-infections in ascending node order. Results are therefore bitwise equal to
-that per-run loop, which tests/test_sir.py keeps as the oracle
-reference_spread.
+step cap. It steps a pool of run slots together, sized from the graph so a
+step touches a bounded number of elements; a slot whose run ends takes the
+next run at once. The frontier holds every slot's (slot, node) keys, grouped
+by slot, and one CSR gather per step collects every run's contacts. Each run
+still consumes its own stream exactly as a run simulated alone would. Per
+step it draws, in one call, one uniform per susceptible contact in frontier
+order (infection) followed, when gamma < 1, by one per frontier node
+(recovery); Generator.random(a + b) yields the same values as random(a)
+then random(b), so this is the draw sequence of a per-run loop that makes
+the two calls separately. The step reads the recovery draws by their
+positions and maps each infection hit back to its contact by the slot's
+offset. A run's next frontier is its surviving nodes in their previous
+order, then its new infections in ascending node order. Results are
+therefore bitwise equal to that per-run loop, which tests/test_sir.py keeps
+as the oracle reference_spread.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,8 +50,6 @@ import numpy as np
 from .graph import (
     Graph, _check_int, _check_real, _edge_endpoints, _is_int, _min_labels, _sorted_distinct,
 )
-
-SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,9 @@ def score_all_nodes(g: Graph, params: SirParams) -> tuple[np.ndarray, np.ndarray
     """
     if params.gamma == 1.0 and params.max_steps is None:
         return _percolation_scores(g, params)
-    # as many nodes per _simulate call as fill one block, so finals stay small
-    per_call = max(1, _block_runs(g) // params.replications)
+    # many runs per _simulate call, so the pool's slots refill across nodes,
+    # while a call's int64 finals stay within _STEP_ELEMENTS bytes
+    per_call = max(1, _STEP_ELEMENTS // (8 * params.replications))
     means, stds = np.empty(g.node_count), np.empty(g.node_count)
     for first in range(0, g.node_count, per_call):
         last = min(first + per_call, g.node_count)
@@ -170,13 +171,14 @@ def _mean_std(finals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return finals.mean(axis=-1), finals.std(axis=-1, ddof=int(finals.shape[-1] > 1))
 
 
-# Elements one simulation step may touch per block: a step gathers at most
-# 2m contacts per run and the state array holds n bytes per run.
+# Elements one simulation step may touch: a step gathers at most 2m
+# contacts per run slot and the susceptible array holds n bytes per slot.
 _STEP_ELEMENTS = 1 << 20
 
 
 def _block_runs(g: Graph) -> int:
-    """Runs per block: at most _STEP_ELEMENTS // max(n, 2m), and at least 1."""
+    """Run slots in _simulate's pool: at most _STEP_ELEMENTS // max(n, 2m),
+    and at least 1."""
     return max(1, _STEP_ELEMENTS // max(g.node_count, g.indices.size, 1))
 
 
@@ -191,108 +193,133 @@ def _simulate(
     counts its final size. curve runs to the last step any run executed,
     padded to max_steps + 1 entries when params.max_steps is set.
 
-    ``seeds`` is a checked int32 seed array and ``rng`` the run's own stream;
-    runs are consumed lazily, one block of _block_runs(g) at a time.
+    ``seeds`` is a checked int32 seed array and ``rng`` the run's own stream.
+    Runs are consumed lazily into a pool of _block_runs(g) slots, and a slot
+    whose run ends takes the next run before the next step, so runs of
+    different ages share each step. Slot s owns the keys [s*n, (s+1)*n):
+    node v of its run is key s*n + v, also in the boolean ``susceptible``
+    array, whose row a new run resets. The frontier is grouped by slot and,
+    within a slot, in the order of a run simulated alone. So is every
+    per-step array of keys taken from it (contacts, new infections,
+    survivors), and one searchsorted against the slot bases splits such an
+    array into its slots' stretches.
+
+    The draws of one step hold each slot's infection draws, then its
+    recovery draws: slot s's stretch starts after the contacts and frontier
+    entries of the slots before it. Recovery draws are read by position, and
+    an infection hit at draw position p of slot s is contact p minus the
+    frontier entries of the slots before s.
+
+    A run's cumulative count grows only by its new infections, so curve is
+    the running sum of ``gained``: every run's seed count at age 0 and, at
+    each later age, the new infections of the runs that reached it.
     """
-    # int32 CSR offsets keep the per-contact gather index at 4 bytes
-    offsets = g.indptr.astype(np.int32) if g.indices.size < 2**31 else g.indptr
-    runs = iter(runs)
-    finals = [np.empty(0, dtype=np.int64)]
-    curve: list[int] = []
-    while block := list(itertools.islice(runs, _block_runs(g))):
-        seeds, rngs = zip(*block)
-        ever, series = _simulate_block(g, offsets, seeds, rngs, params.beta, params.gamma,
-                                       params.max_steps)
-        finals.append(ever)
-        # every earlier block is padded to len(curve), so curve[-1] is the
-        # sum of their final sizes
-        curve.extend([curve[-1] if curve else 0] * (len(series) - len(curve)))
-        for t in range(len(curve)):
-            curve[t] += series[min(t, len(series) - 1)]
-    if params.max_steps is not None:
-        curve.extend([curve[-1]] * (params.max_steps + 1 - len(curve)))
-    return np.concatenate(finals), curve
-
-
-def _simulate_block(
-    g: Graph,
-    offsets: np.ndarray,
-    seeds: Sequence[np.ndarray],
-    rngs: Sequence[np.random.Generator],
-    beta: float,
-    gamma: float,
-    max_steps: int | None,
-) -> tuple[np.ndarray, list[int]]:
-    """Advance len(rngs) runs together; returns their final ever-infected
-    counts and the block's summed ever-infected count after each step.
-
-    The frontier is the pair of int32 arrays (frun, fnode), grouped by run
-    and, within a run, in the order of a run simulated alone; fcount holds
-    each run's frontier size. The state of node v in run i is state[i*n + v];
-    these keys stay below max(_STEP_ELEMENTS, n), so int32 holds them.
-    """
-    n = g.node_count
-    b = len(rngs)
-    deg = np.diff(offsets)
+    n, beta, gamma, max_steps = g.node_count, params.beta, params.gamma, params.max_steps
     recovers = gamma < 1.0
-    fcount = np.array([s.size for s in seeds], dtype=np.int64)
-    frun = np.repeat(np.arange(b, dtype=np.int32), fcount)
-    fnode = np.concatenate(seeds)
-    state = np.zeros(b * n, dtype=np.uint8)
-    state[frun * n + fnode] = INFECTIOUS
-    ever = fcount.copy()
-    series = [int(fcount.sum())]
-    # draw-order mask for each run's [infection draws, recovery draws]
-    halves = np.tile(np.array([True, False]), b)
+    # int32 CSR offsets and keys keep the per-contact arrays at 4 bytes;
+    # keys stay below slots * n <= max(_STEP_ELEMENTS, n)
+    offsets = g.indptr.astype(np.int32) if g.indices.size < 2**31 else g.indptr
+    deg = np.diff(offsets)
+    slots = _block_runs(g)
+    key_type = np.int32 if slots * n < 2**31 else np.int64
+    base = np.arange(slots + 1, dtype=key_type) * key_type(n)
+    susceptible = np.ones(slots * n, dtype=bool)
+    fill = [None] * slots  # each slot's rng.random, None for an idle slot
+    run_of = [0] * slots  # the index of each slot's run in ``runs``
+    age = np.zeros(slots, dtype=np.int64)
+    ever = np.zeros(slots, dtype=np.int64)
+    gained = np.zeros(1 if max_steps is None else max_steps + 1, dtype=np.int64)
+    finals: list[int] = []
+    runs = iter(runs)
+    # the next frontier's survivors and new infections, grouped by slot
+    surv = new = np.empty(0, dtype=key_type)
+    ended = range(slots)
     # take() and compress() rather than [] below: with int32 indices and
     # boolean masks, [] indexing is two to three times slower here
-    while fnode.size and (max_steps is None or len(series) <= max_steps):
+    while True:
+        seeds = []
+        for s in ended:
+            if fill[s] is not None:
+                finals[run_of[s]] = int(ever[s])
+                fill[s] = None
+            # max_steps = 0 ends a run at once, so the slot takes the next
+            for start, rng in runs:
+                finals.append(start.size)
+                gained[0] += start.size
+                if max_steps != 0:
+                    row = susceptible[base[s]:base[s + 1]]
+                    row[:] = True
+                    row[start] = False
+                    seeds.append(start + base[s])
+                    fill[s], run_of[s], age[s], ever[s] = rng.random, len(finals) - 1, 0, start.size
+                    break
+        # each slot's survivors in their old order, then its new infections
+        # ascending, then a new run's seeds ascending
+        fkey = np.concatenate([surv, new, *seeds])
+        if surv.size or seeds:
+            fkey = fkey.take(np.argsort(fkey // n, kind="stable"))
+        if not fkey.size:
+            break
+        fbound = np.searchsorted(fkey, base)  # frontier entries before slot s
+        fcount = np.diff(fbound)
+
         # contacts: the CSR rows of the frontier in frontier order, as keys
+        fbase = np.repeat(base[:-1], fcount)
+        fnode = fkey - fbase
         lens = deg.take(fnode)
         ends = np.cumsum(lens, dtype=offsets.dtype)
         src = np.repeat(offsets.take(fnode) - ends + lens, lens)
         src += np.arange(src.size, dtype=src.dtype)
-        contacts = np.repeat(frun * n, lens)
+        contacts = np.repeat(fbase, lens)
         contacts += g.indices.take(src)
-        del src
-        contacts = contacts.compress(state.take(contacts) == SUSCEPTIBLE)
-        per_run = np.bincount(contacts // n, minlength=b)
-        need = per_run + fcount if recovers else per_run
-        draws = np.empty(int(need.sum()))
-        live = np.flatnonzero(need)
-        stop = 0
-        for i, k in zip(live.tolist(), need[live].tolist()):
-            rngs[i].random(out=draws[stop:stop + k])
-            stop += k
-        infects = draws < beta
+        del src, fbase, fnode
+        contacts = contacts.compress(susceptible.take(contacts))
+        cbound = np.searchsorted(contacts, base)  # contacts before slot s
+        dbound = cbound + fbound if recovers else cbound
+        draws = np.empty(int(dbound[-1]))
+        live = np.flatnonzero(dbound[1:] > dbound[:-1])
+        for s, lo, hi in zip(live.tolist(), dbound[live].tolist(), dbound[live + 1].tolist()):
+            fill[s](out=draws[lo:hi])
         if recovers:
-            first = np.repeat(halves, np.column_stack((per_run, fcount)).ravel())
-            recovered = draws.compress(~first) < gamma
-            infects = infects.compress(first)
+            # frontier entry i of slot s has its recovery draw at
+            # cbound[s + 1] + i, after the slot's infection draws
+            rpos = np.repeat(cbound[1:], fcount)
+            rpos += np.arange(rpos.size)
+            survives = draws.take(rpos) >= gamma
+            draws.put(rpos, 1.0)  # never below beta, so never an infection hit
+            del rpos
+        hits = np.flatnonzero(draws < beta)
         del draws
-        # unique keys ascending: by run, then each run's new nodes ascending
-        new = np.sort(contacts.compress(infects))
+        if recovers:
+            hits -= np.repeat(fbound[:-1], np.diff(np.searchsorted(hits, dbound)))
+        # unique keys ascending: by slot, then each run's new nodes ascending
+        new = np.sort(contacts.take(hits))
+        del contacts, hits
         if new.size > 1:
             new = new.compress(np.concatenate(([True], new[1:] != new[:-1])))
-        fkey = frun * n + fnode
-        state[fkey.compress(recovered) if recovers else fkey] = RECOVERED
-        state[new] = INFECTIOUS
-        nrun = new // n
-        nnode = new - nrun * n
-        ncount = np.bincount(nrun, minlength=b)
-        ever += ncount
-        series.append(series[-1] + int(new.size))
+        susceptible.put(new, False)
+        ncount = np.diff(np.searchsorted(new, base))
         if recovers:
-            # each run's survivors in their old order, then its new nodes
-            keep = ~recovered
-            frun = np.concatenate([frun.compress(keep), nrun])
-            fnode = np.concatenate([fnode.compress(keep), nnode])
-            order = np.argsort(frun, kind="stable")
-            frun, fnode = frun.take(order), fnode.take(order)
-            fcount = np.bincount(frun, minlength=b)
-        else:
-            frun, fnode, fcount = nrun, nnode, ncount
-    return ever, series
+            surv = fkey.compress(survives)
+        scount = np.diff(np.searchsorted(surv, base))
+
+        # every slot with a frontier took a step; its run ends with no
+        # frontier left or at max_steps
+        active = fcount > 0
+        age += active
+        ever += ncount
+        if age.max() == gained.size:  # without a step cap: an age no run had reached
+            gained = np.append(gained, 0)
+        np.add.at(gained, age, ncount)
+        over = active & (scount + ncount == 0)
+        if max_steps is not None:
+            capped = active & (age == max_steps)
+            if capped.any():
+                over |= capped
+                surv = surv.compress(np.repeat(~capped, scount))
+                new = new.compress(np.repeat(~capped, ncount))
+        ended = np.flatnonzero(over).tolist()
+    return np.array(finals, dtype=np.int64), np.cumsum(gained).tolist()
 
 
 def _percolation_scores(g: Graph, params: SirParams) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,17 @@ def test_tau_single_swap():
     assert kendall_tau_pairwise([1, 2, 3], [1, 3, 2]) == pytest.approx(1 / 3)
 
 
+def test_tau_pairwise_takes_arrays_and_lists_alike():
+    rng = random.Random(5)
+    cases = [([1.0, 2.0, 3.0], [2.0, 1.0, 3.0])] + [random_lists(rng, 12, 0.4) for _ in range(5)]
+    for a, b in cases:
+        for variant in ("a", "b"):
+            expected = kendall_tau_pairwise(a, b, variant)
+            for x, y in [(np.array(a), np.array(b)), (np.array(a, dtype=np.float64), b)]:
+                assert kendall_tau_pairwise(x, y, variant) == expected
+    assert kendall_tau_pairwise(np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 3.0])) == 1 / 3
+
+
 def test_tau_validation():
     with pytest.raises(ValueError):
         kendall_tau([1, 2], [1, 2, 3])

@@ -11,9 +11,6 @@ from lexcent import sir
 from lexcent.datasets import load_dataset
 from lexcent.graph import from_edges
 from lexcent.sir import (
-    INFECTIOUS,
-    RECOVERED,
-    SUSCEPTIBLE,
     SirParams,
     _stream,
     run_single,
@@ -215,6 +212,9 @@ def test_engine_matches_reference_distribution():
 # exact oracle: the per-replication simulator, compared bit for bit
 
 
+SUSCEPTIBLE, INFECTIOUS, RECOVERED = 0, 1, 2
+
+
 def reference_spread(adj, n, seeds, beta, gamma, max_steps, rng, curve):
     """One run; returns the final ever-infected count and optionally appends
     the cumulative count after each step to ``curve`` (curve[0] preloaded by
@@ -412,6 +412,60 @@ def test_simulate_curve_without_cap_runs_to_the_longest_run(beta, gamma):
     assert len(curve) == max(lengths)
     assert curve[-1] == finals.sum()
     assert curve == [sum(c[min(t, len(c) - 1)] for c in curves) for t in range(len(curve))]
+
+
+def reference_simulate(g, runs, params):
+    """(finals, curve) of sir._simulate, run one replication at a time: each
+    run's curve stays at its final size once it has ended."""
+    curves = []
+    for seeds, rng in runs:
+        curves.append([int(seeds.size)])
+        reference_spread(adjacency_lists(g), g.node_count, seeds, params.beta, params.gamma,
+                         params.max_steps, rng, curves[-1])
+    length = max(map(len, curves)) if params.max_steps is None else params.max_steps + 1
+    curve = [sum(c[min(t, len(c) - 1)] for c in curves) for t in range(length)]
+    return [c[-1] for c in curves], curve
+
+
+def pool_cases():
+    """A path of 2-12 nodes followed by 0-3 isolated nodes, 1-12 runs whose
+    seed sets mix path and isolated nodes, and SIR settings. Runs from
+    different points of the path last different numbers of steps, and a run
+    from isolated seeds ends after one."""
+    return st.tuples(st.integers(2, 12), st.integers(0, 3)).flatmap(
+        lambda sizes: st.tuples(
+            st.just(sizes),
+            st.lists(st.lists(st.integers(0, sum(sizes) - 1), min_size=1, max_size=3,
+                              unique=True), min_size=1, max_size=12),
+            st.sampled_from([0.0, 0.5, 1.0]),
+            st.sampled_from([0.4, 1.0]),
+            st.sampled_from([None, 0, 1, 5]),
+            st.integers(0, 2**32),
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(pool_cases())
+@example(((12, 2), [[0], [13], [6], [11], [12, 13], [5], [0, 11], [3]], 1.0, 1.0, None, 0))
+@example(((12, 2), [[0], [13], [6], [11], [12, 13], [5], [0, 11], [3]], 1.0, 0.4, 5, 1))
+@example(((9, 3), [[4], [0], [10], [8], [2, 9], [1]], 0.5, 0.4, None, 2))
+@example(((5, 1), [[0], [5], [2, 4]], 0.0, 0.4, 1, 3))
+@example(((5, 1), [[0], [5], [2, 4]], 1.0, 0.4, 0, 4))
+def test_simulate_is_the_same_at_every_pool_size(case):
+    (length, isolated), seed_sets, beta, gamma, max_steps, rng_seed = case
+    g = from_edges(length + isolated, [(v, v + 1) for v in range(length - 1)])
+    params = SirParams(beta=beta, gamma=gamma, rng_seed=rng_seed, max_steps=max_steps)
+
+    def runs():
+        return [(seed_array(seeds), _stream(rng_seed, (r,))) for r, seeds in enumerate(seed_sets)]
+
+    expected = reference_simulate(g, runs(), params)
+    for slots in range(1, 9):
+        with mock.patch.object(sir, "_STEP_ELEMENTS", slots * max(g.node_count, g.indices.size)):
+            assert sir._block_runs(g) == slots
+            finals, curve = sir._simulate(g, iter(runs()), params)
+        assert (finals.tolist(), curve) == expected, f"{slots} slots"
 
 
 # ---------------------------------------------------------------------------
