@@ -194,21 +194,16 @@ def _simulate(
     padded to max_steps + 1 entries when params.max_steps is set.
 
     ``seeds`` is a checked int32 seed array and ``rng`` the run's own stream.
-    Runs are consumed lazily into a pool of _block_runs(g) slots, and a slot
-    whose run ends takes the next run before the next step, so runs of
-    different ages share each step. Slot s owns the keys [s*n, (s+1)*n):
-    node v of its run is key s*n + v, also in the boolean ``susceptible``
-    array, whose row a new run resets. The frontier is grouped by slot and,
-    within a slot, in the order of a run simulated alone. So is every
-    per-step array of keys taken from it (contacts, new infections,
-    survivors), and one searchsorted against the slot bases splits such an
-    array into its slots' stretches.
-
-    The draws of one step hold each slot's infection draws, then its
-    recovery draws: slot s's stretch starts after the contacts and frontier
-    entries of the slots before it. Recovery draws are read by position, and
-    an infection hit at draw position p of slot s is contact p minus the
-    frontier entries of the slots before s.
+    Runs are consumed lazily into a pool of _block_runs(g) slots; a slot
+    whose run ends takes the next run before the next step. Node v of slot
+    s's run is key s*n + v, also in the boolean ``susceptible`` array, whose
+    row a new run resets. The frontier is grouped by slot and, within a
+    slot, in the order of a run simulated alone; so is every per-step array
+    of keys taken from it, and a searchsorted against the slot bases splits
+    such an array by slot. A step's draws hold each slot's infection draws,
+    then its recovery draws, slot after slot: recovery draws are read by
+    position, and an infection hit at draw position p of slot s is contact
+    p minus the frontier entries of the slots before s.
 
     A run's cumulative count grows only by its new infections, so curve is
     the running sum of ``gained``: every run's seed count at age 0 and, at
