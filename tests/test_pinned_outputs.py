@@ -1,4 +1,4 @@
-"""The pinned CLI outputs: every file that fifteen commands write, and the
+"""The pinned CLI outputs: every file that sixteen commands write, and the
 sparse6k curve command's stdout line, must keep these bytes. A refactor
 passes only if it leaves them all unchanged; a declared change of estimator
 re-pins only the files it changes and names them in CHANGES.md.
@@ -9,7 +9,8 @@ version a failure here may come from numpy and not from lexcent.
 
 Each command runs through ``cli.main`` in its own temporary directory, so
 the relative ``--out`` and ``--graph`` paths in ``run_config.json`` are the
-pinned ones. ``karate.txt`` is the bundled karate edge list, and
+pinned ones. ``karate.txt`` is the bundled karate edge list,
+``labels.txt`` is the string-labelled edge list beside this file, and
 ``sparse6k.txt`` is ``sparse_edge_list(1)`` from the benchmark's
 ``perfbench/workloads.py`` (imported read-only), whose own digest is pinned
 too.
@@ -27,6 +28,7 @@ from lexcent.cli import main
 from lexcent.datasets import bundled_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LABELS = Path(__file__).resolve().parent / "labels.txt"
 SPARSE6K_SHA256 = "e98bb5bf622fb8b16cccef15c6a4da69df07f3770fce0d9ceb9c2371255c4e64"
 CURVE_STDOUT = (
     "wrote spread curve for seeds [1659, 2981, 5019, 3948, 4699, 459, 3986, 46, 2521, 2087]"
@@ -70,6 +72,15 @@ PINNED = [
         "ranking_lsc.json": "cf7ab9521e263079818ff8d582ccdf58c4278bdb519c6503e5cea50375785ca5",
         "ranking_matrix.csv": "ff9d38f2ee3448726e6f2908ca4c8f5519b74b2e4474296b5b628b0e03872c43",
         "run_config.json": "487030b65932d7e48516182f46b8498b91823c23531682f4b93b04155de81b49",
+    }),
+    ("centrality --graph labels.txt --measures dc,cc,lsc --out out/c_labels", {
+        "centrality_cc.csv": "6644375afbbe2fa987b576022b3f812ad772670478a58e32a9bf0fb1cb3a9ee7",
+        "centrality_dc.csv": "53748bba7ca6933a5b1bf91c98f748c2570206d9ce5e8850d8ff2506e7a0de9e",
+        "node_labels.csv": "3a3de9f730ccfc6acd7b72ffd58a03e499772aeb898f08a47970867f5785dc80",
+        "ranking_lsc.csv": "6f5e5ef8d956b016f80c80b290e2c1914be86eadc57795468c18f1a24973091a",
+        "ranking_lsc.json": "7a7cccdfef99369f9cd8989fd64857af2e2ac3b50d3d1ceaadc3fc928c304a8b",
+        "ranking_matrix.csv": "ce50cce2600c548d0110fa832b4b97f288ee8fae0cc0cac040b68b71fe238853",
+        "run_config.json": "706ef23cee595633f28fe2db7d8f1b23c28d011130298046332367fd6010f8e8",
     }),
     ("sir --graph karate.txt --beta 0.1 --gamma 1 --reps 1000 --out out/s1", {
         "node_labels.csv": "b29d3aafbcc0f169019c401b30c03f792dd41086d3190e13df334989766faab3",
@@ -184,6 +195,7 @@ def test_sparse6k_input_is_the_pinned_one(sparse6k_text):
 @pytest.mark.parametrize("command, digests", PINNED, ids=[c.split(" --out ")[1] for c, _ in PINNED])
 def test_pinned_command_outputs(command, digests, sparse6k_text, tmp_path, monkeypatch, capsys):
     shutil.copyfile(bundled_path("karate"), tmp_path / "karate.txt")
+    shutil.copyfile(LABELS, tmp_path / "labels.txt")
     (tmp_path / "sparse6k.txt").write_text(sparse6k_text)
     monkeypatch.chdir(tmp_path)
     assert main(command.split()) == 0
