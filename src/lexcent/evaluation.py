@@ -8,7 +8,6 @@ import math
 import platform
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal
 from functools import partial
 from typing import Sequence
 
@@ -140,6 +139,8 @@ def _check_x_percent(x_percent: float) -> None:
 def top_x_size(node_count: int, x_percent: float) -> int:
     """k = floor(n * x_percent / 100), the size of a top-x% set, exact for
     x_percent's shortest decimal (18.4 is 184/10); an error unless k >= 1."""
+    from decimal import Decimal  # loaded only by the commands that need a top-x set
+
     _check_x_percent(x_percent)
     num, den = Decimal(repr(float(x_percent))).as_integer_ratio()
     k = int(node_count) * num // (100 * den)

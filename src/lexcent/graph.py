@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -20,11 +19,11 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 COMMENT_PREFIXES = ("#", "%")
 # characters load_edge_list reads at a time, before completing the last line
 _BLOCK_CHARS = 1 << 13
+# adjacency entries k_shell gathers at a time (one row may be longer)
+_PEEL_ENTRIES = 1 << 10
 
 
 def _is_int(value) -> bool:
@@ -275,7 +274,10 @@ def load_edge_list(source: str | IO[str], relabel: bool = False) -> Graph:
     g = _csr(n, u, v)
     duplicates = kept - g.edge_count
     if self_loops or duplicates:
-        log.warning(
+        # logging is imported here, so that a load that drops nothing does not load it
+        import logging
+
+        logging.getLogger(__name__).warning(
             "dropped %d self-loop(s) and %d duplicate edge(s) while loading",
             self_loops,
             duplicates,
@@ -443,31 +445,47 @@ def k_shell(g: Graph) -> np.ndarray:
     is <= k; a node's shell index is the k at which it was removed. Each
     round of the cascade peels all such nodes at once and takes one off
     their live neighbors' degrees; the decomposition is unique, so the
-    shells are those of peeling one node at a time.
+    shells are those of peeling one node at a time. A round gathers its
+    nodes' CSR rows about _PEEL_ENTRIES entries at a time, and a neighbor is
+    queued for the next round as soon as its degree reaches k, so no array
+    grows beyond n and the chunk.
     """
     n = g.node_count
     indptr, indices = g.indptr, g.indices
-    degrees = np.diff(indptr)
-    deg = degrees.copy()
+    deg = np.diff(indptr)
     shell = np.zeros(n, dtype=np.int32)
-    alive = np.ones(n, dtype=bool)
+    # removed, or queued for removal in the round under way
+    queued = np.zeros(n, dtype=bool)
     remaining = n
     k = 0
     while remaining:
-        peel = np.flatnonzero(alive & (deg <= k))
+        peel = np.flatnonzero(~queued & (deg <= k))
+        queued[peel] = True
         while peel.size:
-            alive[peel] = False
             shell[peel] = k
             remaining -= peel.size
-            # the peeled nodes' CSR rows, one after another
-            lens = degrees.take(peel)
-            ends = np.cumsum(lens)
-            pos = np.repeat(indptr.take(peel) - (ends - lens), lens)
-            pos += np.arange(pos.size)
-            nbrs = indices.take(pos)
-            nbrs = nbrs.compress(alive.take(nbrs))
-            np.subtract.at(deg, nbrs, 1)
-            peel = _sorted_distinct(nbrs.compress(deg.take(nbrs) <= k))
+            # ends[i]: the entries in the rows of peel[:i + 1]
+            ends = indptr.take(peel + 1)
+            ends -= indptr.take(peel)
+            np.cumsum(ends, out=ends)
+            found = []
+            start = done = 0
+            while start < peel.size:
+                # peel[start:stop]'s rows, one after another, from entry done on
+                stop = max(int(np.searchsorted(ends, done + _PEEL_ENTRIES, "right")), start + 1)
+                lens = np.diff(ends[start:stop], prepend=done)
+                pos = np.repeat(indptr.take(peel[start:stop]) - (ends[start:stop] - lens), lens)
+                pos += np.arange(done, done + pos.size)
+                nbrs = indices.take(pos)
+                del pos
+                nbrs = nbrs.compress(~queued.take(nbrs))
+                np.subtract.at(deg, nbrs, 1)
+                batch = _sorted_distinct(nbrs.compress(deg.take(nbrs) <= k))
+                queued[batch] = True
+                found.append(batch)
+                start, done = stop, int(ends[stop - 1])
+            del peel, ends
+            peel = found[0] if len(found) == 1 else np.concatenate(found)
         k += 1
     return shell
 

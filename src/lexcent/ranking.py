@@ -4,12 +4,15 @@ their value tuples, most influential first.
 
 Rounded values are carried only as exact scaled integers (value *
 10^precision), so the sort key is immune to binary floating-point artifacts.
+A value is rounded as its shortest decimal representation is: one float64
+pass scales and rounds every value, and the few that land too near a
+rounding boundary for float64 to decide are rounded exactly in Decimal
+(which is imported only then).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,8 +49,12 @@ class NodeRanking:
 
 
 def _scaled_int(value: float, precision: int, rounding: str) -> int:
-    mode = ROUND_DOWN if rounding == ROUND_TRUNCATE_MODE else ROUND_HALF_EVEN
-    return int(Decimal(repr(float(value))).scaleb(precision).to_integral_value(mode))
+    """The exact rounded value of value's shortest decimal times
+    10^precision."""
+    import decimal  # only values near a rounding boundary come here
+
+    mode = decimal.ROUND_DOWN if rounding == ROUND_TRUNCATE_MODE else decimal.ROUND_HALF_EVEN
+    return int(decimal.Decimal(repr(float(value))).scaleb(precision).to_integral_value(mode))
 
 
 def _check_rounding(precision: int, rounding: str) -> int:
@@ -83,14 +90,41 @@ def _check_top(top: int) -> None:
 
 def _scaled_column(scores, measure: str, precision: int, rounding: str) -> np.ndarray:
     """Each score as the exact int64 of its rounded value times
-    10^precision; a scaled value beyond int64 is a ValueError naming the
-    measure."""
-    column = [_scaled_int(v, precision, rounding) for v in scores]
+    10^precision, as _scaled_int gives it; a scaled value beyond int64 is a
+    ValueError naming the measure.
+
+    y = x * 10^precision in float64 lies within 1.5 ulp of x's shortest
+    decimal times 10^precision (x is within half an ulp of that decimal, and
+    the product adds half an ulp of y), so float64 rounds y as Decimal would
+    unless a rounding boundary (k + 1/2 for half-even, k for truncation) lies
+    within 4 ulp of y. Those values, the non-finite ones and those with
+    |y| >= 2^53 go to _scaled_int. x = 0 is exact and never does.
+    """
+    x = np.asarray(scores, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = x * 10.0**precision
+        size = np.abs(y)
+        nearest = np.rint(y)
+        off = np.abs(y - nearest)
+        margin = 4 * np.spacing(size)
+        if rounding == ROUND_TRUNCATE_MODE:
+            scaled = np.trunc(y)
+            unsure = (off <= margin) & (y != 0)
+        else:
+            scaled = nearest
+            unsure = np.abs(off - 0.5) <= margin
+        unsure |= ~(size < 2.0**53)  # NaN compares false
+        column = scaled.astype(np.int64)
+    exact = np.flatnonzero(unsure)
+    if not exact.size:
+        return column
+    fallback = [_scaled_int(v, precision, rounding) for v in x[exact]]
     try:
-        return np.array(column, dtype=np.int64)
+        column[exact] = np.array(fallback, dtype=np.int64)
+        return column
     except OverflowError:
-        worst = max(column, key=abs)
-        value = float(scores[column.index(worst)])
+        worst = max(fallback, key=abs)
+        value = float(x[exact[fallback.index(worst)]])
         raise ValueError(
             f"{measure} score {value!r} at precision {precision} scales to "
             f"{worst}, outside the int64 range of the ranking matrix; use a lower "

@@ -917,6 +917,30 @@ def test_commands_do_not_import_numpy_ma(tmp_path, argv):
     assert _in_fresh_process(code, *argv).splitlines()[-1] == "0 False"
 
 
+BA200 = ["--generate", "ba:200:3:1"]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["stats", "--dataset", "karate"], ["decimal", "logging"]),
+    (["sir", *BA200, "--beta", "0.05", "--reps", "20"], ["decimal", "logging"]),
+    (["sir", *BA200, "--seeds-from", "lsc", "--top", "3", "--beta", "0.05", "--steps", "5",
+      "--reps", "20"], ["decimal", "logging"]),
+    (["centrality", *BA200, "--measures", "lsc"], ["decimal", "logging"]),
+    (["evaluate", *BA200, "--beta", "0.05", "--reps", "20"], ["logging"]),
+], ids=["stats", "sir", "sir-seeds-from-lsc", "centrality-lsc", "evaluate"])
+def test_commands_do_not_import_decimal_or_logging(tmp_path, argv, unused):
+    # LSC rounds in float64 and imports decimal only for a value at a
+    # rounding boundary (evaluate's top_x_size imports it too); the edge-list
+    # loader imports logging only to report dropped edges
+    check = f"print(*[name in sys.modules for name in {unused!r}])"
+    absent = " ".join(["False"] * len(unused))
+    if _in_fresh_process(f"import sys, numpy; {check}").strip() != absent:
+        pytest.skip(f"import numpy alone loads one of {unused}")
+    code = f"import sys; from lexcent.cli import main; print(main(sys.argv[1:])); {check}"
+    lines = _in_fresh_process(code, *argv, "--out", str(tmp_path / "o")).splitlines()
+    assert lines[-2:] == ["0", absent]
+
+
 def _command_outputs(argv):
     """The _Outputs that a command returns, before anything is written."""
     args = lexcent.cli.build_parser().parse_args(argv)

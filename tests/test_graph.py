@@ -813,6 +813,36 @@ def test_k_shell_equals_one_node_at_a_time_reference(g):
     assert np.array_equal(shells, reference_k_shell(g))
 
 
+@settings(max_examples=100, deadline=None)
+@given(k_shell_graphs(), st.sampled_from([1, 2, 5, 16]))
+@example(generate_barabasi_albert(300, 3, 1), 1)
+@example(complete_graph(20), 7)
+@example(from_edges(40, [(0, v) for v in range(1, 30)]), 3)
+def test_k_shell_is_the_same_at_every_chunk_size(g, entries):
+    # a round's rows are gathered in chunks of about _PEEL_ENTRIES entries;
+    # a neighbor queued by one chunk must be left out of the later ones
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_PEEL_ENTRIES", entries)
+        shells = k_shell(g)
+    assert np.array_equal(shells, reference_k_shell(g))
+
+
+def test_k_shell_traced_peak_memory():
+    # about 0.11 MB here with chunks of rows: the degree, shell and queued
+    # arrays and one round's nodes. Gathering a whole round's rows at once
+    # peaked at 0.34 MB (it grows with 2m), the one-node-at-a-time loop at
+    # 0.089 MB.
+    g = generate_barabasi_albert(5000, 5, 1)
+    tracemalloc.start()
+    try:
+        shells = k_shell(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(shells, reference_k_shell(g))
+    assert peak < 130_000
+
+
 def test_k_shell_cycle_is_two_regular():
     assert k_shell(cycle_graph(5)).tolist() == [2] * 5
 

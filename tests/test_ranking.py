@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
 from unittest import mock
 
 import numpy as np
@@ -145,6 +146,177 @@ def test_matrix_rejects_scores_beyond_int64_at_the_precision():
     with pytest.raises(ValueError, match=r"EC score 37613\.9 at precision 15"):
         build_ranking_matrix(vecs, 15)
     assert build_ranking_matrix(vectors_from_columns([9.2]), 15).scaled[0, 0] == 92 * 10**14
+
+
+# ---------------------------------------------------------------------------
+# exact rounding: the float64 pass and its Decimal fallback against a Decimal
+# loop over every value
+
+
+def decimal_scaled(values, precision, rounding):
+    """The oracle: each value's shortest decimal times 10^precision, rounded
+    half-to-even or truncated in Decimal, as Python ints."""
+    mode = ROUND_DOWN if rounding == "truncate" else ROUND_HALF_EVEN
+    return [
+        int(Decimal(repr(float(v))).scaleb(precision).to_integral_value(mode)) for v in values
+    ]
+
+
+def scaled_column(values, precision, rounding):
+    vectors = [CentralityVector("DC", np.asarray(values, dtype=np.float64))]
+    return build_ranking_matrix(vectors, precision, rounding).scaled[:, 0].tolist()
+
+
+def _ulps(value, steps):
+    """value moved ``steps`` ulps up (or down, for steps < 0)."""
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.inf if steps > 0 else -np.inf))
+    return value
+
+
+def hard_values(precision):
+    """Floats that are hard to round at ``precision`` places: uniforms,
+    values already written with a few places more or less than precision,
+    exact decimal halves at place precision + 1, scaled values near 2^53 and
+    both zeros, each possibly moved one ulp either way; every one scales to
+    within int64."""
+    signs = st.sampled_from(["", "-"])
+    written = st.builds(
+        lambda sign, digits, places: float(f"{sign}{digits}e-{places}"),
+        signs, st.integers(0, 10**9), st.integers(max(precision - 1, 0), precision + 2),
+    )
+    halves = st.builds(
+        lambda sign, k: float(f"{sign}{k}5e-{precision + 1}"), signs, st.integers(0, 10**6)
+    )
+    near_2_53 = st.builds(
+        lambda k: k / 10.0**precision, st.integers(2**53 - 2**12, 2**53 + 2**12)
+    )
+    base = st.one_of(
+        st.floats(-1e3, 1e3), written, halves, near_2_53, st.sampled_from([0.0, -0.0])
+    )
+    return st.builds(_ulps, base, st.sampled_from([-1, 0, 0, 1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 15).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(hard_values(p), min_size=1, max_size=40))
+    ),
+    st.sampled_from(["half_even", "truncate"]),
+)
+def test_matrix_equals_the_decimal_oracle(case, rounding):
+    precision, values = case
+    assert scaled_column(values, precision, rounding) == decimal_scaled(
+        values, precision, rounding
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 15).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.lists(hard_values(p), min_size=1, max_size=4), min_size=3, max_size=3),
+        )
+    ),
+    st.integers(2, 30),
+    st.sampled_from(["half_even", "truncate"]),
+    st.sampled_from(["1", "half", None]),
+    st.randoms(use_true_random=False),
+)
+def test_every_lsc_order_equals_the_decimal_oracle(case, n, rounding, top_case, rnd):
+    # each column's scores come from a few hard values, so rows tie and the
+    # later columns are read; lsc must order nodes as a lexsort of the
+    # oracle's integers does
+    precision, pools = case
+    tags = ("DC", "EC", "CC")
+    columns = {tag: np.array([rnd.choice(pool) for _ in range(n)]) for tag, pool in zip(tags, pools)}
+    top = {"1": 1, "half": max(1, n // 2), None: None}[top_case]
+    scaled = [decimal_scaled(columns[tag], precision, rounding) for tag in tags]
+    keys = tuple(-np.array(col, dtype=np.int64) for col in reversed(scaled))
+    expected = tuple(np.lexsort(keys).tolist())[: n if top is None else top]
+
+    def reader(g, measure, **measure_settings):
+        return lambda nodes: columns[measure][nodes]
+
+    with mock.patch.object(ranking_module, "_scores_reader", reader):
+        ranking = lsc(from_edges(n, []), precision, tags, rounding, top=top)
+    assert ranking.ordered_nodes == expected
+
+
+def test_float_scaling_is_not_trusted_at_a_boundary():
+    # 2.675's binary value is 2.67499999999999982236..., so rounding that
+    # value gives 2.67; its shortest decimal is the half itself
+    assert round(2.675, 2) == 2.67
+    assert scaled_column([2.675, -2.675], 2, "half_even") == [268, -268]
+    assert scaled_column([2.675, -2.675], 2, "truncate") == [267, -267]
+    # here the float64 product lands on the wrong side of a half or of an
+    # integer, and rounding it would be one off
+    assert (0.575 * 100, 0.545 * 100) == (57.49999999999999, 54.50000000000001)
+    assert scaled_column([0.575, 0.545, -0.575], 2, "half_even") == [58, 54, -58]
+    assert 0.29 * 100 == 28.999999999999996
+    assert scaled_column([0.29, -0.29], 2, "truncate") == [29, -29]
+
+
+@pytest.mark.parametrize("precision", range(16))
+@pytest.mark.parametrize("rounding", ["half_even", "truncate"])
+def test_exact_decimal_halves_at_every_precision(precision, rounding):
+    values = [float(f"{sign}{k}5e-{precision + 1}")
+              for sign in ("", "-") for k in (0, 1, 2, 3, 12, 99, 1234567)]
+    expected = decimal_scaled(values, precision, rounding)
+    assert scaled_column(values, precision, rounding) == expected
+    if rounding == "half_even":
+        assert expected[:7] == [0, 2, 2, 4, 12, 100, 1234568]
+    else:
+        assert expected[:7] == [0, 1, 2, 3, 12, 99, 1234567]
+
+
+@pytest.mark.parametrize("rounding", ["half_even", "truncate"])
+def test_negative_zero_and_one_ulp_either_side_of_a_boundary(rounding):
+    boundaries = [0.5, 1.0, 2.5, 0.125, 0.135, 2.675, 1e-5, 0.3, 7.0, 1234.5]
+    values = [-0.0, 0.0] + [
+        sign * _ulps(b, step) for b in boundaries for step in (-1, 0, 1) for sign in (1, -1)
+    ]
+    for precision in (0, 1, 2, 5, 15):
+        assert scaled_column(values, precision, rounding) == decimal_scaled(
+            values, precision, rounding
+        )
+    assert scaled_column([-0.0], 5, rounding) == [0]
+
+
+@pytest.mark.parametrize("rounding", ["half_even", "truncate"])
+def test_values_near_2_to_the_53(rounding):
+    edge = 2.0**53
+    values = [edge - 2, edge - 1, edge, edge + 2, 2.0**51 + 0.5, 2.0**51 + 1.5,
+              2.0**52 + 1, 2.0**52 - 0.5]
+    values += [-v for v in values]
+    assert scaled_column(values, 0, rounding) == decimal_scaled(values, 0, rounding)
+    scaled_down = [v / 1e5 for v in values]
+    assert scaled_column(scaled_down, 5, rounding) == decimal_scaled(scaled_down, 5, rounding)
+
+
+@pytest.mark.parametrize("values, named", [
+    ([0.5, 9223.372036854777], "9223.372036854777 at precision 15 scales to 9223372036854777000"),
+    ([1e4, -2e4, 3e4], "30000.0 at precision 15 scales to 30000000000000000000"),
+    ([0.1, -3e4, 3e4], "-30000.0 at precision 15 scales to -30000000000000000000"),
+])
+def test_the_overflow_message_names_the_largest_value(values, named):
+    with pytest.raises(ValueError) as raised:
+        scaled_column(values, 15, "half_even")
+    assert str(raised.value) == (
+        f"DC score {named}, outside the int64 range of the ranking matrix; use a lower precision"
+    )
+    # 9223.372036854775 x 10^15 is within int64
+    assert scaled_column([9223.372036854775], 15, "truncate") == [9223372036854775000]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scores_raise_what_the_decimal_path_raises(bad):
+    with pytest.raises((ValueError, OverflowError)) as oracle:
+        decimal_scaled([bad], 5, "half_even")
+    for rounding in ("half_even", "truncate"):
+        with pytest.raises(oracle.type, match=re.escape(str(oracle.value))):
+            scaled_column([0.25, bad, 1e30], 5, rounding)
 
 
 # ---------------------------------------------------------------------------
