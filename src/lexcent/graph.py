@@ -446,44 +446,49 @@ def k_shell(g: Graph) -> np.ndarray:
     round of the cascade peels all such nodes at once and takes one off
     their live neighbors' degrees; the decomposition is unique, so the
     shells are those of peeling one node at a time. A round gathers its
-    nodes' CSR rows about _PEEL_ENTRIES entries at a time, and a neighbor is
-    queued for the next round as soon as its degree reaches k, so no array
-    grows beyond n and the chunk.
+    nodes' CSR rows in chunks of about _PEEL_ENTRIES entries, and a neighbor
+    whose degree a chunk brings to k is queued for the next round at once,
+    so later chunks leave it out; no array outgrows n or a chunk.
     """
     n = g.node_count
     indptr, indices = g.indptr, g.indices
     deg = np.diff(indptr)
     shell = np.zeros(n, dtype=np.int32)
-    # removed, or queued for removal in the round under way
-    queued = np.zeros(n, dtype=bool)
+    # not yet removed, nor queued for removal in the round under way
+    live = np.ones(n, dtype=bool)
     remaining = n
     k = 0
     while remaining:
-        peel = np.flatnonzero(~queued & (deg <= k))
-        queued[peel] = True
+        peel = np.flatnonzero(live & (deg <= k))
+        live[peel] = False
         while peel.size:
             shell[peel] = k
             remaining -= peel.size
-            # ends[i]: the entries in the rows of peel[:i + 1]
-            ends = indptr.take(peel + 1)
-            ends -= indptr.take(peel)
+            # the peeled nodes' CSR rows, one after another: row i is entries
+            # ends[i] .. ends[i + 1] - 1, gathered a chunk of rows at a time
+            ends = np.zeros(peel.size + 1, dtype=np.int64)
+            indptr[1:].take(peel, out=ends[1:])
+            ends[1:] -= indptr.take(peel)
             np.cumsum(ends, out=ends)
             found = []
-            start = done = 0
+            start = 0
             while start < peel.size:
-                # peel[start:stop]'s rows, one after another, from entry done on
-                stop = max(int(np.searchsorted(ends, done + _PEEL_ENTRIES, "right")), start + 1)
-                lens = np.diff(ends[start:stop], prepend=done)
-                pos = np.repeat(indptr.take(peel[start:stop]) - (ends[start:stop] - lens), lens)
-                pos += np.arange(done, done + pos.size)
+                stop = peel.size
+                if ends[-1] - ends[start] > _PEEL_ENTRIES:
+                    cut = int(np.searchsorted(ends, ends[start] + _PEEL_ENTRIES, "right")) - 1
+                    stop = max(cut, start + 1)
+                first = indptr.take(peel[start:stop])
+                first -= ends[start:stop]
+                pos = np.repeat(first, ends[start + 1 : stop + 1] - ends[start:stop])
+                pos += np.arange(ends[start], ends[stop])
                 nbrs = indices.take(pos)
                 del pos
-                nbrs = nbrs.compress(~queued.take(nbrs))
+                nbrs = nbrs.compress(live.take(nbrs))
                 np.subtract.at(deg, nbrs, 1)
                 batch = _sorted_distinct(nbrs.compress(deg.take(nbrs) <= k))
-                queued[batch] = True
+                live[batch] = False
                 found.append(batch)
-                start, done = stop, int(ends[stop - 1])
+                start = stop
             del peel, ends
             peel = found[0] if len(found) == 1 else np.concatenate(found)
         k += 1
