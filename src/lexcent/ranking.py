@@ -116,12 +116,9 @@ def _scaled_column(scores, measure: str, precision: int, rounding: str) -> np.nd
         unsure |= ~(size < 2.0**53)  # NaN compares false
         column = scaled.astype(np.int64)
     exact = np.flatnonzero(unsure)
-    if not exact.size:
-        return column
     fallback = [_scaled_int(v, precision, rounding) for v in x[exact]]
     try:
         column[exact] = np.array(fallback, dtype=np.int64)
-        return column
     except OverflowError:
         worst = max(fallback, key=abs)
         value = float(x[exact[fallback.index(worst)]])
@@ -130,6 +127,7 @@ def _scaled_column(scores, measure: str, precision: int, rounding: str) -> np.nd
             f"{worst}, outside the int64 range of the ranking matrix; use a lower "
             "precision"
         ) from None
+    return column
 
 
 def build_ranking_matrix(
