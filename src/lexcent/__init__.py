@@ -36,7 +36,6 @@ from .graph import (
     generate_barabasi_albert,
     k_shell,
     load_edge_list,
-    save_edge_list,
 )
 from .ranking import (
     NodeRanking,
@@ -46,14 +45,7 @@ from .ranking import (
     lsc,
     ranking_from_scores,
 )
-from .sir import (
-    SirParams,
-    SirResult,
-    run_single,
-    score_all_nodes,
-    spread_curve,
-    spreading_score,
-)
+from .sir import SirParams, score_all_nodes, spread_curve
 
 __version__ = "0.1.0"
 
@@ -68,7 +60,6 @@ __all__ = [
     "PowerIterationError",
     "RankingMatrix",
     "SirParams",
-    "SirResult",
     "benchmark_runtime",
     "betweenness_centrality",
     "build_ranking_matrix",
@@ -90,10 +81,7 @@ __all__ = [
     "lsc",
     "rank_vs_score_series",
     "ranking_from_scores",
-    "run_single",
-    "save_edge_list",
     "score_all_nodes",
     "spread_curve",
-    "spreading_score",
     "top_x_overlap",
 ]

@@ -2,8 +2,8 @@
 closeness (CC), betweenness (BC), and gravity (GC).
 
 All functions are pure with respect to the immutable Graph and return a
-CentralityVector whose ``params`` record the exact settings used, so results
-are reproducible from the output alone.
+CentralityVector whose ``params`` record the exact settings used. No output
+file writes them: the CLI records a run's settings only in run_config.json.
 """
 
 from __future__ import annotations

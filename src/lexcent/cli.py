@@ -335,7 +335,7 @@ def cmd_sir(config: RunConfig) -> _Outputs:
             vec = compute_centrality(g, tag, **config.measure_settings())
             ranking = ranking_from_scores(vec.scores, tag.upper())
         seeds = list(ranking.ordered_nodes[: config.top])
-    curve = spread_curve(g, seeds, params).curve
+    curve = spread_curve(g, seeds, params)
     files = {f"sir_curve_{tag}.csv": (["t", "mean_cumulative_infected"],
                                       ((t, f"{value:.12g}") for t, value in enumerate(curve)))}
     return _Outputs(files, [f"wrote spread curve for seeds {seeds} to {out}"], g.labels)

@@ -139,10 +139,12 @@ def _check_x_percent(x_percent: float) -> None:
 def top_x_size(node_count: int, x_percent: float) -> int:
     """k = floor(n * x_percent / 100), the size of a top-x% set, exact for
     x_percent's shortest decimal (18.4 is 184/10); an error unless k >= 1."""
-    from decimal import Decimal  # loaded only by the commands that need a top-x set
-
     _check_x_percent(x_percent)
-    num, den = Decimal(repr(float(x_percent))).as_integer_ratio()
+    # repr gives the shortest decimal, as "18.4", "100.0" or "1e-05"; for x in
+    # (0, 100] its exponent is never positive, so the denominator is a power of 10
+    mantissa, _, exponent = repr(float(x_percent)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    num, den = int(whole + fraction), 10 ** (len(fraction) - int(exponent or 0))
     k = int(node_count) * num // (100 * den)
     if k == 0:
         raise ValueError(f"x_percent={x_percent} selects 0 of {node_count} nodes")

@@ -90,15 +90,8 @@ class Graph:
     edge_count: int
     labels: tuple | None = None
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (a read-only view, do not mutate)."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each undirected edge once as (u, v) with u < v, sorted."""
@@ -132,8 +125,7 @@ def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from (u, v) pairs of integer node ids in 0..node_count-1;
     self-loops and duplicate edges are dropped. Bools and floats are not node
     ids, and an id out of range is an error even on a self-loop."""
-    if node_count < 0:
-        raise ValueError("node_count must be non-negative")
+    _check_int("node_count", node_count, 0)
     pairs = list(edges)
     try:
         well_formed = set(map(len, pairs)) <= {2}
@@ -343,12 +335,6 @@ def _token_ids(tokens: list[str], relabel: bool) -> tuple[np.ndarray, tuple | No
                 f"non-integer node tokens ({a!r}, {b!r}); load with relabel=True"
             ) from None
     return np.array(values, dtype=object), None
-
-
-def save_edge_list(g: Graph, stream: IO[str]) -> None:
-    """Write one 'u v' line per edge, u < v, sorted; round-trips via load."""
-    for u, v in g.edges():
-        stream.write(f"{u} {v}\n")
 
 
 def generate_barabasi_albert(n: int, m: int, rng_seed: int) -> Graph:

@@ -13,19 +13,19 @@ distribution of the seed's cluster in a bond percolation that opens each edge
 with probability beta (Newman, PRE 66, 016128, 2002; Kenah & Robins, PRE 76,
 036113, 2007). score_all_nodes then takes every node's mean and std from
 one percolation sample per replication, shared by all nodes: the
-distribution of spreading_score's.
+distribution of simulating each node's replications on its own.
 
 Random streams are derived per replication: replication r seeded at node v
 draws from a stream keyed by (rng_seed, v, r); multi-seed curve replications
 and the percolation sample of replication r draw from (rng_seed, r). Results
 are therefore bit-identical no matter how the work is ordered or batched.
 
-Curves, spreading_score, run_single and score_all_nodes at gamma < 1 or with
-max_steps run one simulator, _simulate, which returns every run's final size
-and the summed cumulative curve, padded to max_steps + 1 when there is a
-step cap. It steps a pool of run slots together, sized from the graph so a
-step touches a bounded number of elements; a slot whose run ends takes the
-next run at once. The frontier holds every slot's (slot, node) keys, grouped
+Curves and score_all_nodes at gamma < 1 or with max_steps run one
+simulator, _simulate, which returns every run's final size and the summed
+cumulative curve, padded to max_steps + 1 when there is a step cap. It
+steps a pool of run slots together, sized from the graph so a step touches
+a bounded number of elements; a slot whose run ends takes the next run at
+once. The frontier holds every slot's (slot, node) keys, grouped
 by slot, and one CSR gather per step collects every run's contacts. Each run
 still consumes its own stream exactly as a run simulated alone would. Per
 step it draws, in one call, one uniform per susceptible contact in frontier
@@ -69,17 +69,6 @@ class SirParams:
         _check_int("rng_seed", self.rng_seed, 0)
 
 
-@dataclass(frozen=True)
-class SirResult:
-    """One seed set's summary: the mean and std over replications of the
-    final ever-infected count and, for spread_curve, the mean cumulative
-    ever-infected count at each step t = 0..max_steps."""
-
-    mean_score: float
-    score_std: float
-    curve: np.ndarray | None = None
-
-
 def _stream(rng_seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=key))
 
@@ -96,50 +85,25 @@ def _check_seeds(g: Graph, seeds: Iterable[int]) -> np.ndarray:
     return arr.astype(np.int32)
 
 
-def run_single(
-    g: Graph,
-    seeds: Iterable[int],
-    params: SirParams,
-    rng: np.random.Generator,
-) -> tuple[int, list[int]]:
-    """One simulation run with the given random stream.
-
-    Returns (final ever-infected count, cumulative curve). The curve starts
-    at |seeds| and gains one entry per executed step; when max_steps is set
-    it is padded to length max_steps + 1 with the final value.
-    """
-    finals, curve = _simulate(g, [(_check_seeds(g, seeds), rng)], params)
-    return int(finals[0]), curve
-
-
-def spreading_score(g: Graph, seed: int, params: SirParams) -> SirResult:
-    """Mean final spread size over ``params.replications`` independent runs
-    with node ``seed`` as the sole initially infectious node."""
-    finals = _node_scores(g, _check_seeds(g, [seed]).tolist(), params)[0]
-    return SirResult(*map(float, _mean_std(finals)))
-
-
-def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> SirResult:
-    """Mean cumulative ever-infected count at each step for a fixed seed set;
-    requires max_steps. Replication r draws from the (rng_seed, r) stream."""
+def spread_curve(g: Graph, seeds: Iterable[int], params: SirParams) -> np.ndarray:
+    """Mean cumulative ever-infected count at each step t = 0..max_steps for
+    a fixed seed set, as a float64 array; requires max_steps. Replication r
+    draws from the (rng_seed, r) stream."""
     if params.max_steps is None:
         raise ValueError("spread_curve requires max_steps")
     seed_arr = _check_seeds(g, seeds)
     runs = ((seed_arr, _stream(params.rng_seed, (r,))) for r in range(params.replications))
-    finals, curve = _simulate(g, runs, params)
-    # sums of integers below 2**53 are exact, so the mean does not depend on
-    # the order in which the runs were added
-    mean, std = map(float, _mean_std(finals))
-    return SirResult(mean, std, np.array(curve, dtype=np.float64) / params.replications)
+    return np.array(_simulate(g, runs, params)[1], dtype=np.float64) / params.replications
 
 
 def score_all_nodes(g: Graph, params: SirParams) -> tuple[np.ndarray, np.ndarray]:
-    """(means, stds): every node's mean score and ddof=1 std, float64 arrays
-    in node order, with spreading_score's distribution.
+    """(means, stds): every node's mean final ever-infected count and its
+    ddof=1 std over ``params.replications`` runs from that node alone,
+    float64 arrays in node order.
 
     At gamma = 1 without max_steps, replication r is one bond-percolation
     sample shared by all nodes (see the module docstring). Otherwise node v
-    gets exactly spreading_score's pair.
+    gets the mean and std of _node_scores' row for v.
     """
     if params.gamma == 1.0 and params.max_steps is None:
         return _percolation_scores(g, params)

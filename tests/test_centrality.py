@@ -271,7 +271,7 @@ def test_cc_bitwise_equals_reference(case):
 def brute_force_betweenness(g, normalized):
     """All-pairs shortest-path enumeration by exhaustive simple-path search."""
     n = g.node_count
-    adj = [set(int(w) for w in g.neighbors(v)) for v in range(n)]
+    adj = [set(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(n)]
 
     def all_simple_paths(s, t):
         paths = []
@@ -343,7 +343,7 @@ def reference_betweenness(g, normalized):
     """Brandes' queue-and-stack formulation, one source at a time: the oracle
     the level-synchronous kernel must reproduce bit for bit."""
     n = g.node_count
-    adj = [g.neighbors(v).tolist() for v in range(n)]
+    adj = [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(n)]
     bc = np.zeros(n)
     for s in range(n):
         stack = []
@@ -492,8 +492,7 @@ def brute_force_gravity(g, radius=3, exponent=2):
         queue = deque([i])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
-                w = int(w)
+            for w in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist():
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)

@@ -926,12 +926,12 @@ BA200 = ["--generate", "ba:200:3:1"]
     (["sir", *BA200, "--seeds-from", "lsc", "--top", "3", "--beta", "0.05", "--steps", "5",
       "--reps", "20"], ["decimal", "logging"]),
     (["centrality", *BA200, "--measures", "lsc"], ["decimal", "logging"]),
-    (["evaluate", *BA200, "--beta", "0.05", "--reps", "20"], ["logging"]),
+    (["evaluate", *BA200, "--beta", "0.05", "--reps", "20"], ["decimal", "logging"]),
 ], ids=["stats", "sir", "sir-seeds-from-lsc", "centrality-lsc", "evaluate"])
 def test_commands_do_not_import_decimal_or_logging(tmp_path, argv, unused):
     # LSC rounds in float64 and imports decimal only for a value at a
-    # rounding boundary (evaluate's top_x_size imports it too); the edge-list
-    # loader imports logging only to report dropped edges
+    # rounding boundary, and evaluate's top_x_size reads x_percent from its
+    # repr; the edge-list loader imports logging only to report dropped edges
     check = f"print(*[name in sys.modules for name in {unused!r}])"
     absent = " ".join(["False"] * len(unused))
     if _in_fresh_process(f"import sys, numpy; {check}").strip() != absent:

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -232,6 +233,32 @@ def test_top_x_size_is_exact_on_the_tenths_grid():
                 assert top_x_size(n, x) == expected, (n, x)
                 float_misses += int(n * x / 100.0) != expected
     assert float_misses == 282
+
+
+def check_top_x_sizes(x, counts):
+    """top_x_size(n, x) is floor(n * x / 100) with x read as its shortest
+    decimal by Decimal, for each n of ``counts``, and raises where that is 0."""
+    num, den = Decimal(repr(float(x))).as_integer_ratio()
+    for n in counts:
+        expected = n * num // (100 * den)
+        if expected:
+            assert top_x_size(n, x) == expected, (n, x)
+        else:
+            with pytest.raises(ValueError, match="selects 0"):
+                top_x_size(n, x)
+
+
+def test_top_x_size_matches_decimal_on_the_tenths_grid():
+    for tenths in range(1, 1001):
+        check_top_x_sizes(tenths / 10, range(2, 3001))
+
+
+@pytest.mark.parametrize("x", [1e-05, 1.5e-05, 5e-324, 2 / 3, 33.333333333333336,
+                               99.99999999999999, 100, 100.0])
+def test_top_x_size_matches_decimal_in_every_repr_form(x):
+    # exponent forms, 17 significant digits and an int; a count far beyond
+    # any float makes every digit of the decimal count
+    check_top_x_sizes(x, [*range(2, 3001), 10**20 + 7, 10**400])
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from lexcent import sir
 from lexcent.datasets import load_dataset
 from lexcent.graph import from_edges
-from lexcent.sir import (
-    SirParams,
-    _stream,
-    run_single,
-    score_all_nodes,
-    spread_curve,
-    spreading_score,
-)
+from lexcent.sir import SirParams, _stream, score_all_nodes, spread_curve
 
 from test_centrality import random_disconnected_graph, sparse_edge_sets
 from test_graph import (
@@ -57,13 +50,13 @@ def test_params_validation():
 
 def test_seed_validation():
     g = path_graph(3)
-    params = SirParams(beta=0.5)
-    with pytest.raises(ValueError):
-        run_single(g, [], params, stream())
-    with pytest.raises(ValueError):
-        run_single(g, [3], params, stream())
+    params = SirParams(beta=0.5, max_steps=2)
+    with pytest.raises(ValueError, match="empty"):
+        spread_curve(g, [], params)
+    with pytest.raises(ValueError, match="out of range"):
+        spread_curve(g, [3], params)
     with pytest.raises(ValueError, match="integers"):
-        run_single(g, [1.5], params, stream())
+        spread_curve(g, [1.5], params)
 
 
 def test_spread_curve_requires_max_steps():
@@ -76,55 +69,59 @@ def test_spread_curve_requires_max_steps():
 
 
 def test_beta_zero_single_seed():
-    final, curve = run_single(path_graph(4), [1], SirParams(beta=0.0), stream())
-    assert final == 1
+    g = path_graph(4)
+    finals, curve = sir._simulate(g, [(sir._check_seeds(g, [1]), stream())], SirParams(beta=0.0))
+    assert finals.tolist() == [1]
     assert curve == [1, 1]  # seed recovers after one step
 
 
 def test_beta_one_full_cascade():
     g = complete_graph(6)
-    final, _ = run_single(g, [0], SirParams(beta=1.0), stream())
-    assert final == 6
+    finals, _ = sir._simulate(g, [(sir._check_seeds(g, [0]), stream())], SirParams(beta=1.0))
+    assert finals.tolist() == [6]
 
 
 def test_beta_one_stays_within_component():
     g = from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    final, _ = run_single(g, [0], SirParams(beta=1.0), stream())
-    assert final == 3
-    final, _ = run_single(g, [3], SirParams(beta=1.0), stream())
-    assert final == 2
+    finals, _ = sir._simulate(g, [(sir._check_seeds(g, [0]), stream())], SirParams(beta=1.0))
+    assert finals.tolist() == [3]
+    finals, _ = sir._simulate(g, [(sir._check_seeds(g, [3]), stream())], SirParams(beta=1.0))
+    assert finals.tolist() == [2]
 
 
 def test_deterministic_cascade_curve_on_path():
     params = SirParams(beta=1.0, gamma=1.0, max_steps=6)
-    final, curve = run_single(path_graph(4), [0], params, stream())
-    assert final == 4
+    g = path_graph(4)
+    finals, curve = sir._simulate(g, [(sir._check_seeds(g, [0]), stream())], params)
+    assert finals.tolist() == [4]
     assert curve == [1, 2, 3, 4, 4, 4, 4]
 
 
 def test_gamma_one_cascade_depth_bounds_steps():
     # with gamma=1 each node transmits during exactly one step
-    final, curve = run_single(path_graph(5), [0], SirParams(beta=1.0), stream())
-    assert final == 5
+    g = path_graph(5)
+    finals, curve = sir._simulate(g, [(sir._check_seeds(g, [0]), stream())], SirParams(beta=1.0))
+    assert finals.tolist() == [5]
     assert curve == [1, 2, 3, 4, 5, 5]
 
 
 def test_max_steps_caps_run():
     params = SirParams(beta=1.0, gamma=0.5, max_steps=2)
-    final, curve = run_single(path_graph(10), [0], params, stream(3))
+    g = path_graph(10)
+    finals, curve = sir._simulate(g, [(sir._check_seeds(g, [0]), stream(3))], params)
     assert len(curve) == 3
-    assert final == curve[-1]
-    assert final <= 1 + 2 + 4  # at most two steps of spreading
+    assert finals.tolist() == [curve[-1]]
+    assert curve[-1] <= 1 + 2 + 4  # at most two steps of spreading
 
 
 def test_curve_is_cumulative_and_bounded():
     g = random_graph(15, 0.2, random.Random(2))
     params = SirParams(beta=0.4, gamma=0.7, max_steps=30)
     for seed in range(5):
-        final, curve = run_single(g, [seed], params, stream(seed))
+        finals, curve = sir._simulate(g, [(sir._check_seeds(g, [seed]), stream(seed))], params)
         assert curve[0] == 1
         assert all(b >= a for a, b in zip(curve, curve[1:]))
-        assert curve[-1] == final <= g.node_count
+        assert [curve[-1]] == finals.tolist() and curve[-1] <= g.node_count
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +129,23 @@ def test_curve_is_cumulative_and_bounded():
 
 
 def test_score_beta_zero_exact():
-    res = spreading_score(path_graph(4), 0, SirParams(beta=0.0, replications=50))
-    assert res.mean_score == 1.0
-    assert res.score_std == 0.0
+    finals = simulated_node_finals(path_graph(4), 0, SirParams(beta=0.0, replications=50))
+    assert sir._mean_std(finals) == (1.0, 0.0)
 
 
 def test_score_isolated_seed():
     g = from_edges(3, [(0, 1)])
-    res = spreading_score(g, 2, SirParams(beta=0.9, replications=50))
-    assert res.mean_score == 1.0
+    finals = simulated_node_finals(g, 2, SirParams(beta=0.9, replications=50))
+    assert sir._mean_std(finals)[0] == 1.0
 
 
 def test_two_node_exact_expectation():
     g = from_edges(2, [(0, 1)])
     for beta in (0.1, 0.5, 0.9):
         reps = 4000
-        res = spreading_score(g, 0, SirParams(beta=beta, replications=reps, rng_seed=7))
+        finals = simulated_node_finals(g, 0, SirParams(beta=beta, replications=reps, rng_seed=7))
         se = math.sqrt(beta * (1 - beta) / reps)
-        assert abs(res.mean_score - (1 + beta)) < 4 * se
+        assert abs(sir._mean_std(finals)[0] - (1 + beta)) < 4 * se
 
 
 def test_hub_spreads_more_than_leaf_on_karate():
@@ -159,9 +155,9 @@ def test_hub_spreads_more_than_leaf_on_karate():
     params = SirParams(beta=0.1, gamma=1.0, replications=1000, rng_seed=11)
     hub = int(np.argmax(g.degrees()))
     leaf = int(np.argmin(g.degrees()))
-    hub_score = spreading_score(g, hub, params).mean_score
-    leaf_score = spreading_score(g, leaf, params).mean_score
-    assert hub_score > leaf_score
+    hub_finals = simulated_node_finals(g, hub, params)
+    leaf_finals = simulated_node_finals(g, leaf, params)
+    assert sir._mean_std(hub_finals)[0] > sir._mean_std(leaf_finals)[0]
 
 
 def test_vertex_transitive_scores_agree_within_noise():
@@ -182,8 +178,7 @@ def reference_final_size(g, seeds, beta, gamma, rng):
     while infectious:
         newly = set()
         for v in sorted(infectious):
-            for w in g.neighbors(v):
-                w = int(w)
+            for w in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist():
                 if w in susceptible and rng.random() < beta:
                     newly.add(w)
         for v in sorted(infectious.copy()):
@@ -257,21 +252,24 @@ def seed_array(seeds):
 
 
 def adjacency_lists(g):
-    return [g.neighbors(v) for v in range(g.node_count)]
+    return [g.indices[g.indptr[v]:g.indptr[v + 1]] for v in range(g.node_count)]
 
 
-def reference_run_single(g, seeds, params, rng):
+def reference_single_run(g, seeds, params, rng):
+    """([final], curve) of one sir._simulate run, padded as it pads a capped
+    curve."""
     seed_arr = seed_array(seeds)
     curve = [int(seed_arr.size)]
     final = reference_spread(adjacency_lists(g), g.node_count, seed_arr, params.beta,
                              params.gamma, params.max_steps, rng, curve)
     if params.max_steps is not None and len(curve) < params.max_steps + 1:
         curve.extend([final] * (params.max_steps + 1 - len(curve)))
-    return final, curve
+    return [final], curve
 
 
 def reference_node_finals(g, seed, params):
-    """Final sizes of spreading_score's replications, run one at a time."""
+    """Final sizes of one node's replications in score_all_nodes' simulator
+    path, run one at a time."""
     adj, seed_arr = adjacency_lists(g), seed_array([seed])
     finals = np.empty(params.replications, dtype=np.int64)
     for r in range(params.replications):
@@ -282,24 +280,24 @@ def reference_node_finals(g, seed, params):
 
 def simulated_node_finals(g, seed, params):
     """Final sizes of sir._simulate's runs from ``seed`` alone, replication r
-    on spreading_score's (rng_seed, seed, r) stream."""
+    on the (rng_seed, seed, r) stream that score_all_nodes' simulator path
+    gives it."""
     runs = ((seed_array([seed]), _stream(params.rng_seed, (seed, r)))
             for r in range(params.replications))
     return sir._simulate(g, runs, params)[0]
 
 
 def reference_curve(g, seeds, params):
-    """(mean, std, curve) of spread_curve, run one replication at a time."""
+    """spread_curve, run one replication at a time."""
     adj, seed_arr, steps = adjacency_lists(g), seed_array(seeds), params.max_steps
     curve_sum = np.zeros(steps + 1, dtype=np.float64)
-    finals = np.empty(params.replications, dtype=np.int64)
     for r in range(params.replications):
         curve = [int(seed_arr.size)]
-        finals[r] = reference_spread(adj, g.node_count, seed_arr, params.beta, params.gamma,
-                                     steps, _stream(params.rng_seed, (r,)), curve)
+        reference_spread(adj, g.node_count, seed_arr, params.beta, params.gamma,
+                         steps, _stream(params.rng_seed, (r,)), curve)
         curve.extend([curve[-1]] * (steps + 1 - len(curve)))
         curve_sum += curve
-    return summary(finals) + (curve_sum / params.replications,)
+    return curve_sum / params.replications
 
 
 def summary(finals):
@@ -355,20 +353,18 @@ def test_engine_bitwise_equals_reference(case):
     with mock.patch.object(sir, "_STEP_ELEMENTS", elements):
         assert sir._block_runs(g) == block
 
-        final, curve = run_single(g, seeds, params, np.random.default_rng(rng_seed))
-        assert (final, curve) == reference_run_single(g, seeds, params,
-                                                      np.random.default_rng(rng_seed))
+        finals, curve = sir._simulate(
+            g, [(sir._check_seeds(g, seeds), np.random.default_rng(rng_seed))], params)
+        assert (finals.tolist(), curve) == reference_single_run(
+            g, seeds, params, np.random.default_rng(rng_seed))
 
         finals = reference_node_finals(g, seeds[0], params)
         assert simulated_node_finals(g, seeds[0], params).tolist() == finals.tolist()
-        score = spreading_score(g, seeds[0], params)
-        assert (score.mean_score, score.score_std) == summary(finals)
+        assert sir._node_scores(g, [seeds[0]], params).tolist() == [finals.tolist()]
 
         if max_steps is not None:
-            res = spread_curve(g, seeds, params)
-            mean, std, ref_curve = reference_curve(g, seeds, params)
-            assert (res.mean_score, res.score_std) == (mean, std)
-            assert np.array_equal(res.curve, ref_curve)
+            assert np.array_equal(spread_curve(g, seeds, params),
+                                  reference_curve(g, seeds, params))
 
         if gamma < 1.0 or max_steps is not None:
             means, stds = score_all_nodes(g, params)
@@ -381,10 +377,7 @@ def test_engine_equals_reference_on_karate_curve():
     # many replications per block, a connected graph and curves that plateau
     g = load_dataset("karate")
     params = SirParams(beta=0.2, gamma=0.5, replications=300, rng_seed=5, max_steps=12)
-    res = spread_curve(g, [0, 33], params)
-    mean, std, curve = reference_curve(g, [0, 33], params)
-    assert (res.mean_score, res.score_std) == (mean, std)
-    assert np.array_equal(res.curve, curve)
+    assert np.array_equal(spread_curve(g, [0, 33], params), reference_curve(g, [0, 33], params))
 
 
 @pytest.mark.parametrize("beta,gamma", [(1.0, 1.0), (0.8, 0.7)])
@@ -495,10 +488,11 @@ def test_spread_curve_deterministic_and_anchored():
     params = SirParams(beta=0.3, gamma=1.0, replications=30, rng_seed=1, max_steps=10)
     a = spread_curve(g, [0, 5], params)
     b = spread_curve(g, [0, 5], params)
-    assert np.array_equal(a.curve, b.curve)
-    assert a.curve[0] == 2.0
-    assert len(a.curve) == 11
-    assert all(y >= x for x, y in zip(a.curve, a.curve[1:]))
+    assert isinstance(a, np.ndarray) and a.dtype == np.float64
+    assert np.array_equal(a, b)
+    assert a[0] == 2.0
+    assert len(a) == 11
+    assert all(y >= x for x, y in zip(a, a[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +525,13 @@ def test_percolation_scores_match_simulator(g, beta):
     reps = 20_000
     means, stds = score_all_nodes(g, SirParams(beta=beta, replications=reps, rng_seed=17))
     for v in range(g.node_count):
-        sim = spreading_score(g, v, SirParams(beta=beta, replications=reps, rng_seed=18))
-        se = math.sqrt((stds[v]**2 + sim.score_std**2) / reps)
+        sim_mean, sim_std = sir._mean_std(
+            simulated_node_finals(g, v, SirParams(beta=beta, replications=reps, rng_seed=18)))
+        se = math.sqrt((stds[v]**2 + sim_std**2) / reps)
         if se == 0.0:
-            assert means[v] == sim.mean_score == 1.0  # isolated node
+            assert means[v] == sim_mean == 1.0  # isolated node
         else:
-            assert abs(means[v] - sim.mean_score) < 4 * se, f"node {v}"
+            assert abs(means[v] - sim_mean) < 4 * se, f"node {v}"
 
 
 def test_percolation_limits_are_exact():
@@ -565,12 +560,11 @@ def test_percolation_single_replication_has_zero_std():
 
 
 def test_simulator_single_replication_has_zero_std():
-    # spreading_score, spread_curve and the gamma < 1 score_all_nodes share
-    # one mean/std rule: ddof=1 over the replications, and 0 for just one
+    # the simulator paths of score_all_nodes share one mean/std rule: ddof=1
+    # over the replications, and 0 for just one
     g = random_disconnected_graph(random.Random(41))
     params = SirParams(beta=0.9, gamma=0.5, replications=1, rng_seed=5, max_steps=4)
-    assert spreading_score(g, 0, params).score_std == 0.0
-    assert spread_curve(g, [0, 1], params).score_std == 0.0
+    assert sir._mean_std(simulated_node_finals(g, 0, params))[1] == 0.0
     means, stds = score_all_nodes(g, SirParams(beta=0.9, gamma=0.5, replications=1))
     assert not stds.any() and (means >= 1.0).all()
 
@@ -587,14 +581,15 @@ def test_percolation_scores_follow_the_stream_design():
 @pytest.mark.parametrize(
     "gamma,max_steps", [(0.5, None), (1.0, 2)], ids=["gamma0.5", "gamma1-steps2"]
 )
-def test_score_all_nodes_simulator_path_equals_spreading_score(gamma, max_steps):
+def test_score_all_nodes_simulator_path_equals_single_node_runs(gamma, max_steps):
+    # each node's pair, whichever call of the batched loop it falls in, is
+    # that of the node's replications simulated on their own
     g = random_disconnected_graph(random.Random(43))
     params = SirParams(beta=0.35, gamma=gamma, replications=30, rng_seed=4,
                        max_steps=max_steps)
     means, stds = score_all_nodes(g, params)
     for v in range(g.node_count):
-        single = spreading_score(g, v, params)
-        assert (means[v], stds[v]) == (single.mean_score, single.score_std)
+        assert (means[v], stds[v]) == sir._mean_std(simulated_node_finals(g, v, params))
 
 
 @pytest.mark.parametrize("gamma,reps", [(1.0, 3), (0.5, 3), (0.5, 1)])
