@@ -210,50 +210,64 @@ def betweenness_centrality(
     excluded. Each unordered pair is counted once. Normalization divides by
     (n-1)(n-2)/2.
 
-    The forward pass expands one BFS level at a time over the CSR gather of
-    the frontier's rows. A level lists its nodes by first appearance in that
+    Each source's walk starts at depth 1, from the source's own CSR row:
+    that row is the FIFO queue's first level, every node in it has sigma
+    1.0, and its DAG edges all come from the source, whose dependency is
+    never added. A source alone in its component is skipped. The forward
+    pass then expands one BFS level at a time over the CSR gather of the
+    frontier's rows. A level lists its nodes by first appearance in that
     gather, which is the order a FIFO queue visits them, and path counts
     (sigma) sum over the DAG edges in gather order. The backward pass walks
     the levels from the deepest and adds each dependency term in reverse
     queue order of the child, so every score is the same double as the
-    queue-and-stack formulation gives. Work per level grows with the
-    level's adjacency entries, never with n. A source stops once it has
-    reached its whole component, so no level gathers only to find nothing.
+    queue-and-stack formulation gives; the deepest level's dependencies
+    are 0.0 and are not added. Work per level grows with the level's
+    adjacency entries, never with n. A source stops once it has reached its
+    whole component, so no level gathers only to find nothing, and then
+    resets that component's marks alone.
     """
     _MeasureSettings(bc_normalized=normalized)
+    _check_betweenness(g, normalized)
     n = g.node_count
-    if normalized and n < 3:
-        raise ValueError("normalized betweenness requires at least 3 nodes")
     indptr, degrees = g.indptr, g.degrees()
+    row_start = indptr.tolist()
     # an int64 copy, so gathered neighbor ids index without a conversion
     indices = g.indices.astype(np.int64)
     unseen = np.ones(n, dtype=bool)
-    # per reached node: the smallest gather index naming it, then its
-    # position within its level
-    slot = np.zeros(n, dtype=np.int64)
     # the per-level gathers fill these buffers, allocated once per call: a
     # fresh allocation per level would make BC's time depend on how the
     # allocator was left by whatever the process ran before
     steps = np.arange(max(n, indices.size))
     nbr_buf = np.empty(indices.size, dtype=np.int64)
     fresh_buf = np.empty(indices.size, dtype=bool)
+    # per node: steps.size while unreached, above every gather index, so
+    # np.minimum.at leaves a new node's first gather index; then its
+    # position within its level
+    slot = np.full(n, steps.size)
     bc = np.zeros(n)
     labels, sizes = connected_components(g)
     component_size = np.asarray(sizes)[labels].tolist()
+    # the nodes of each component, contiguous: all that a source reaches
+    by_component = labels.argsort(kind="stable")
+    component_start = (np.cumsum(sizes) - sizes)[labels].tolist()
     for s in range(n):
+        if component_size[s] == 1:
+            continue
+        frontier = indices[row_start[s] : row_start[s + 1]]
         unseen[s] = False
-        frontier = np.array([s], dtype=np.int64)
-        levels = [frontier]
-        sigmas = [np.ones(1)]
+        unseen[frontier] = False
+        levels = [frontier]  # levels[i]: the nodes at depth i + 1
+        sigmas: list[np.ndarray] = []  # sigmas[i]: path counts at depth i + 2
         dag: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, child) positions
-        reached = 1
+        reached = 1 + frontier.size
         while reached < component_size[s]:
             # the frontier's CSR rows in frontier order: entry k of a row
-            # that starts at output offset o is indices[indptr[v] + k - o]
+            # that starts at output offset o is indices[indptr[v] + k - o];
+            # array methods, as below, skip numpy's Python-level wrappers
             lens = degrees.take(frontier)
-            ends = np.cumsum(lens)
+            ends = lens.cumsum()
             total = ends[-1]
-            pos = np.repeat(indptr.take(frontier) - (ends - lens), lens)
+            pos = (indptr.take(frontier) - (ends - lens)).repeat(lens)
             pos += steps[:total]
             # mode="clip" (the ids are in range) lets take write straight
             # into the buffer; with out= the default mode copies through a
@@ -261,48 +275,60 @@ def betweenness_centrality(
             nbrs = indices.take(pos, out=nbr_buf[:total], mode="clip")
             del pos  # so the parent ids below can reuse its memory
             fresh = unseen.take(nbrs, out=fresh_buf[:total], mode="clip")
-            child = nbrs.compress(fresh)
-            parent = np.repeat(steps[: frontier.size], lens).compress(fresh)
+            hit = fresh.nonzero()[0]
+            child = nbrs.take(hit)
+            parent = steps[: frontier.size].repeat(lens).take(hit)
             entry = steps[: child.size]
-            slot[child] = child.size
             np.minimum.at(slot, child, entry)
             frontier = child.compress(slot.take(child) == entry)
             slot[frontier] = steps[: frontier.size]
             child = slot.take(child)
             unseen[frontier] = False
             reached += frontier.size
-            sigmas.append(
-                np.bincount(child, weights=sigmas[-1].take(parent), minlength=frontier.size)
-            )
+            # depth 2's parents all have sigma 1.0, so its sigma is a count
+            # (int64, exact in float64 wherever it meets one)
+            weights = sigmas[-1].take(parent) if sigmas else None
+            sigmas.append(np.bincount(child, weights=weights, minlength=frontier.size))
             levels.append(frontier)
             dag.append((parent, child))
-        # the source's own dependency is never added, so the walk stops at
-        # depth 1 and adds that level's deltas last
-        delta = np.zeros(levels[-1].size)
-        for d in range(len(dag) - 1, 0, -1):
-            bc[levels[d + 1]] += delta
-            coeff = (1.0 + delta) / sigmas[d + 1]
-            parent, child = dag[d]
+        # the deepest level's dependencies are all 0.0, so adding them would
+        # change no score, and 1.0 over sigma is its coefficient
+        delta = None
+        for i in range(len(dag) - 1, -1, -1):
+            if delta is None:
+                coeff = 1.0 / sigmas[i]
+            else:
+                bc[levels[i + 1]] += delta
+                coeff = (1.0 + delta) / sigmas[i]
+            parent, child = dag[i]
             # descending child position as an ascending unsigned key, which
             # numpy radix-sorts when it fits 8 or 16 bits; a child's edges
             # all have distinct parents, so each parent's terms keep their
             # order whatever the sort does with equal keys
-            top = levels[d + 1].size - 1
+            top = levels[i + 1].size - 1
             key = (top - child).astype(np.min_scalar_type(top))
-            order = np.argsort(key, kind="stable")
+            order = key.argsort(kind="stable")
             parent, child = parent.take(order), child.take(order)
-            delta = np.bincount(
-                parent,
-                weights=sigmas[d].take(parent) * coeff.take(child),
-                minlength=levels[d].size,
-            )
-        if dag:
-            bc[levels[1]] += delta
-        unseen[np.concatenate(levels)] = True
+            # a parent's term is sigma * coeff, and 1.0 * x is x at depth 1
+            weights = coeff.take(child)
+            if i:
+                weights *= sigmas[i - 1].take(parent)
+            delta = np.bincount(parent, weights=weights, minlength=levels[i].size)
+        if delta is not None:
+            bc[levels[0]] += delta
+        # the source reached its whole component; reset that alone
+        component = by_component[component_start[s] : component_start[s] + component_size[s]]
+        unseen[component] = True
+        slot[component] = steps.size
     bc /= 2.0  # undirected: every pair was accumulated from both endpoints
     if normalized:
         bc /= (n - 1) * (n - 2) / 2.0
     return CentralityVector("BC", bc, {"normalized": normalized})
+
+
+def _check_betweenness(g: Graph, normalized: bool) -> None:
+    if normalized and g.node_count < 3:
+        raise ValueError("normalized betweenness requires at least 3 nodes")
 
 
 def gravity_centrality(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import MEASURES, compute_centrality
+from .centrality import MEASURES, _check_betweenness, _MeasureSettings, compute_centrality
 from .graph import Graph, _check_int, _check_real
 from .ranking import (
     DEFAULT_MEASURE_ORDER,
@@ -273,15 +273,18 @@ def evaluate_dataset(
     vectors in ``measure_order``, computes Monte-Carlo SIR spreading scores
     for every node, and per measure: Kendall tau between the measure's values
     and the SIR scores (LSC contributes negated rank positions), and the
-    top-x% overlap against the SIR top-k. Every setting, and an empty top-x
-    set, is rejected before any centrality or SIR work. The report holds the
-    six rankings and score_all_nodes' means and stds.
+    top-x% overlap against the SIR top-k. Every setting, an empty top-x set
+    and a graph of fewer than 2 nodes (3 while bc_normalized) are rejected
+    before any centrality or SIR work. The report holds the six rankings
+    and score_all_nodes' means and stds.
     """
     _check_tau_variant(tau_variant)
     _check_rounding(precision, rounding)
     _check_measure_order(measure_order)
+    settings = _MeasureSettings(**measure_settings)
     if g.node_count < 2:
         raise ValueError("evaluation requires at least 2 nodes")
+    _check_betweenness(g, settings.bc_normalized)
     top_x_size(g.node_count, x_percent)
     vectors = {tag: compute_centrality(g, tag, **measure_settings) for tag in MEASURES}
     ground_truth, ground_truth_std = score_all_nodes(g, params)

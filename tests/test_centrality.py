@@ -443,10 +443,19 @@ def assert_bc_equals_reference(g):
         # different sizes: each source stops at its own component's size
         from_edges(6, [(1, 2), (2, 3)]),
         from_edges(9, [(0, 4), (4, 8), (8, 0), (1, 3), (3, 5), (5, 7), (7, 2)]),
+        # the walk starts at depth 1, the source's row: from the centre that
+        # row is the whole star, from a leaf it is the centre alone (here
+        # the centre is the last id, so leaves are read first)
+        from_edges(7, [(6, j) for j in range(6)]),
+        # a two-node component stops at depth 1 beside a larger one
+        from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2)]),
+        # an isolated source, read first
+        from_edges(4, [(1, 2), (2, 3), (3, 1)]),
     ],
     ids=[
         "n3", "C6", "K3,4", "star", "K6", "BA300", "star300", "K2,300", "K2,300+tails",
-        "grid12", "P130", "P3+isolated", "K3+P5",
+        "grid12", "P130", "P3+isolated", "K3+P5", "star-centre-last", "K2+C5",
+        "isolated+K3",
     ],
 )
 def test_bc_bitwise_equals_reference(g):

@@ -564,6 +564,20 @@ def test_empty_top_x_fails_before_any_work(small_graph_file, tmp_path, capsys, m
     assert not out.exists()  # rejected before outputs were touched
 
 
+def test_evaluate_on_two_nodes_fails_before_any_measure(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a measure or the ground truth started")
+
+    monkeypatch.setattr(lexcent.evaluation, "compute_centrality", no_work)
+    monkeypatch.setattr(lexcent.evaluation, "score_all_nodes", no_work)
+    out = tmp_path / "o"
+    argv = ["evaluate", "--generate", "ba:2:1:1", "--beta", "0.5", "--reps", "5",
+            "--x-percent", "50", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: normalized betweenness requires at least 3 nodes\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import lexcent.evaluation
+from lexcent.centrality import PowerIterationError, compute_centrality
 from lexcent.evaluation import (
     benchmark_runtime,
     evaluate_dataset,
@@ -26,6 +27,7 @@ from lexcent.sir import SirParams, score_all_nodes
 
 from test_graph import cycle_graph, random_graph
 from test_centrality import star_graph
+from test_ranking import tie_heavy_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +378,20 @@ def test_evaluate_rejects_empty_top_x_before_ground_truth():
     assert sir.call_count == 0 and centrality.call_count == 0
 
 
+def test_evaluate_rejects_two_nodes_before_any_measure():
+    """Normalized BC needs 3 nodes, so a 2-node graph is refused before DC,
+    EC and CC run; without normalization it evaluates."""
+    g = from_edges(2, [(0, 1)])
+    params = SirParams(beta=0.5, replications=10, rng_seed=1)
+    with mock.patch.object(lexcent.evaluation, "score_all_nodes") as sir, \
+            mock.patch.object(lexcent.evaluation, "compute_centrality") as centrality:
+        with pytest.raises(ValueError, match="normalized betweenness requires at least 3 nodes"):
+            evaluate_dataset(g, params, x_percent=50)
+    assert sir.call_count == 0 and centrality.call_count == 0
+    report = evaluate_dataset(g, params, x_percent=50, bc_normalized=False)
+    assert set(report.measures) == {"DC", "EC", "CC", "BC", "GC", "LSC"}
+
+
 def test_bad_tau_variant_is_rejected_before_any_work():
     params = SirParams(beta=0.2, gamma=1.0, replications=10, rng_seed=1)
     with mock.patch.object(lexcent.evaluation, "score_all_nodes") as sir, \
@@ -396,3 +412,58 @@ def test_evaluate_report_carries_its_ground_truth():
     means, stds = score_all_nodes(g, params)
     assert np.array_equal(report.ground_truth, means)
     assert np.array_equal(report.ground_truth_std, stds)
+
+
+def pair_count_tau_a(a, b):
+    """Kendall tau-a by counting every pair: (concordant - discordant) / pairs."""
+    n = len(a)
+    numerator = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            numerator += ((a[i] > a[j]) - (a[i] < a[j])) * ((b[i] > b[j]) - (b[i] < b[j]))
+    return numerator / (n * (n - 1) // 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tie_heavy_graphs(),
+    # beta 0 ties every score and beta 1 ties each component's nodes
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([10.0, 18.4, 34.0, 50.0, 100.0]),
+    st.sampled_from(["a", "b"]),
+)
+@example(from_edges(3, [(0, 1)]), 0.0, 50.0, "a")
+@example(from_edges(3, [(0, 1), (1, 2)]), 1.0, 34.0, "b")
+@example(from_edges(5, [(0, 1), (2, 3), (3, 4)]), 1.0, 50.0, "a")
+def test_evaluate_rows_equal_an_oracle_on_the_reports_rankings(g, beta, x_percent, tau_variant):
+    """Every eval_report row, recomputed from the report's own rankings and
+    ground truth: tau-b by scipy, tau-a by counting pairs, the overlap from
+    Python sets of the top k, the truth's ties going to the lower id."""
+    stats = pytest.importorskip("scipy.stats")
+    n = g.node_count
+    # EC is undefined on an edgeless graph, which a random piece can be
+    assume(g.edge_count > 0 and n * x_percent >= 100)
+    params = SirParams(beta=beta, gamma=1.0, replications=20, rng_seed=7)
+    try:
+        report = evaluate_dataset(g, params, x_percent=x_percent, tau_variant=tau_variant)
+    except PowerIterationError:
+        reject()
+    truth = report.ground_truth.tolist()
+    k = top_x_size(n, x_percent)
+    top_truth = set(sorted(range(n), key=lambda v: (-truth[v], v))[:k])
+    assert set(report.measures) == set(report.rankings) == {"DC", "EC", "CC", "BC", "GC", "LSC"}
+    for tag, row in report.measures.items():
+        ranking = report.rankings[tag].ordered_nodes
+        if tag == "LSC":
+            # larger is more influential: the negated position
+            values = [-float(ranking.index(v)) for v in range(n)]
+        else:
+            values = compute_centrality(g, tag).scores.tolist()
+            assert ranking == tuple(sorted(range(n), key=lambda v: (-values[v], v))), tag
+        if tau_variant == "a":
+            assert row["tau"] == pair_count_tau_a(values, truth), tag
+        else:
+            expected = stats.kendalltau(values, truth, variant="b").statistic
+            assert row["tau"] == pytest.approx(expected, abs=1e-12, nan_ok=True), tag
+        assert row["top_x_k"] == k, tag
+        assert row["top_x_overlap"] == len(top_truth & set(ranking[:k])), tag
